@@ -1,8 +1,6 @@
 #include "core/bfs_gpu.hpp"
 
 #include <algorithm>
-#include <optional>
-#include <utility>
 
 #include "gpusim/calibration.hpp"
 #include "gpusim/executor.hpp"
@@ -18,8 +16,7 @@ using graph::Vertex;
 GpuBfsResult bfs_gpu(const Graph& g, Vertex source,
                      const GpuBfsOptions& opts) {
   LGG_CHECK(source < g.num_vertices(), "bfs_gpu: source out of range");
-  const gpusim::DeviceSpec& dev =
-      opts.device ? *opts.device : gpusim::tesla_c1060();
+  const gpusim::DeviceSpec& dev = opts.device_spec();
   const std::uint32_t tpb = opts.threads_per_block;
   LGG_CHECK(tpb >= dev.warp_size && tpb % dev.warp_size == 0,
             "threads_per_block must be a positive multiple of the warp size");
@@ -58,16 +55,6 @@ GpuBfsResult bfs_gpu(const Graph& g, Vertex source,
 
   const auto blocks = static_cast<std::uint32_t>((n + tpb - 1) / tpb);
   auto& tree = result.tree;
-
-  // Sancheck wiring: levels, offsets and adjacency are all staged before
-  // the first launch; one analyzer serves every level launch.
-  std::optional<sancheck::TapeAnalyzer> analyzer;
-  if (opts.sancheck != sancheck::SancheckMode::kOff) {
-    sancheck::SancheckConfig sc;
-    sc.mode = opts.sancheck;
-    sc.staged = {levels_buf, offsets_buf, adj_buf};
-    analyzer.emplace(std::move(sc), mem);
-  }
 
   bool advanced = true;
   std::uint32_t current = 0;
@@ -112,9 +99,9 @@ GpuBfsResult bfs_gpu(const Graph& g, Vertex source,
     config.blocks = std::max<std::uint32_t>(blocks, 1);
     config.threads_per_block = tpb;
     obs::Scope span(opts.obs, config.name, "launch");
-    const gpusim::KernelReport report =
-        sim.run(kernel, config, 1, opts.exec,
-                analyzer ? &*analyzer : nullptr);
+    // Levels, offsets and adjacency are all staged before the first launch.
+    const gpusim::KernelReport report = launch(
+        opts, sim, mem, kernel, config, {levels_buf, offsets_buf, adj_buf});
     span.model_s(report.kernel_time_s);
     if (span) span.arg("transactions", report.transactions);
     span.close();
@@ -148,8 +135,7 @@ GpuBfsResult bfs_gpu(const Graph& g, Vertex source,
 
 sancheck::FootprintSpec bfs_footprint_spec(const Graph& g,
                                            const GpuBfsOptions& opts) {
-  const gpusim::DeviceSpec& dev =
-      opts.device ? *opts.device : gpusim::tesla_c1060();
+  const gpusim::DeviceSpec& dev = opts.device_spec();
   const std::uint32_t tpb = opts.threads_per_block;
   LGG_CHECK(tpb >= dev.warp_size && tpb % dev.warp_size == 0,
             "threads_per_block must be a positive multiple of the warp size");

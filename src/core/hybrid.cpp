@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
 #include <utility>
 
 #include "core/als_plan.hpp"
@@ -240,22 +239,16 @@ ChunkLaunch run_chunk_kernel(const graph::Graph& g, const graph::Chunk& chunk,
   config.blocks = 1;
   config.threads_per_block = tpb;
 
-  // Sancheck wiring: global-resident chunks read a host-staged matrix;
-  // shared chunks only touch shared memory (race-checked via epochs).
-  std::optional<sancheck::TapeAnalyzer> analyzer;
-  if (opts.sancheck != sancheck::SancheckMode::kOff) {
-    sancheck::SancheckConfig sc;
-    sc.mode = opts.sancheck;
-    if (!chunk.fits_shared) sc.staged = {buffer};
-    analyzer.emplace(std::move(sc), mem);
-  }
-
   ChunkLaunch out;
   {
     obs::Scope span(opts.obs, config.name, "launch");
     try {
-      out.report = sim.run(kernel, config, 1, opts.exec,
-                           analyzer ? &*analyzer : nullptr, opts.prof);
+      // Global-resident chunks read a host-staged matrix; shared chunks
+      // only touch shared memory (race-checked via epochs).
+      out.report =
+          launch(opts, sim, mem, kernel, config,
+                 chunk.fits_shared ? std::vector<gpusim::Buffer>{}
+                                   : std::vector<gpusim::Buffer>{buffer});
     } catch (const gpusim::SmAbortFault& f) {
       // Harvest the completed warps' output slots before rethrowing: the
       // chunk runs as one block, so SM 0's abort boundary partitions the
@@ -307,8 +300,7 @@ ChunkLaunch run_chunk_kernel(const graph::Graph& g, const graph::Chunk& chunk,
 
 AlsPrecomputed precompute_als(const graph::Graph& g,
                               const HybridOptions& opts) {
-  const gpusim::DeviceSpec& dev =
-      opts.device ? *opts.device : gpusim::tesla_c1060();
+  const gpusim::DeviceSpec& dev = opts.device_spec();
   AlsPrecomputed plan;
   plan.shared_mem_bits = dev.shared_mem_bits();
   plan.metric = opts.metric;
@@ -335,8 +327,7 @@ AlsPrecomputed precompute_als(const graph::Graph& g,
 
 HybridFootprint hybrid_footprint_spec(const graph::Graph& g,
                                       const HybridOptions& opts) {
-  const gpusim::DeviceSpec& dev =
-      opts.device ? *opts.device : gpusim::tesla_c1060();
+  const gpusim::DeviceSpec& dev = opts.device_spec();
   const std::uint32_t tpb = opts.threads_per_block;
   LGG_CHECK(tpb >= dev.warp_size && tpb % dev.warp_size == 0,
             "threads_per_block must be a positive multiple of the warp size");
@@ -407,8 +398,7 @@ HybridFootprint hybrid_footprint_spec(const graph::Graph& g,
 
 HybridResult count_triangles_hybrid(const graph::Graph& g,
                                     const HybridOptions& opts) {
-  const gpusim::DeviceSpec& dev =
-      opts.device ? *opts.device : gpusim::tesla_c1060();
+  const gpusim::DeviceSpec& dev = opts.device_spec();
   const std::uint32_t tpb = opts.threads_per_block;
   LGG_CHECK(tpb >= dev.warp_size && tpb % dev.warp_size == 0,
             "threads_per_block must be a positive multiple of the warp size");

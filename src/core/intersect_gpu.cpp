@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <numeric>
-#include <optional>
 #include <utility>
 
 #include "combi/strategies.hpp"
@@ -82,8 +81,7 @@ std::uint64_t merge_count(std::span<const Vertex> a,
 
 GpuIntersectResult count_triangles_gpu_intersect(
     const Graph& g, const GpuIntersectOptions& opts) {
-  const gpusim::DeviceSpec& dev =
-      opts.device ? *opts.device : gpusim::tesla_c1060();
+  const gpusim::DeviceSpec& dev = opts.device_spec();
   const std::uint32_t blocks = opts.blocks ? opts.blocks : 2 * dev.sm_count;
   const std::uint32_t tpb = opts.threads_per_block;
   LGG_CHECK(tpb >= dev.warp_size && tpb % dev.warp_size == 0,
@@ -189,17 +187,10 @@ GpuIntersectResult count_triangles_gpu_intersect(
   config.blocks = blocks;
   config.threads_per_block = tpb;
 
-  // Sancheck wiring: the CSR (offsets + neighbours) is staged by the host.
-  std::optional<sancheck::TapeAnalyzer> analyzer;
-  if (opts.sancheck != sancheck::SancheckMode::kOff) {
-    sancheck::SancheckConfig sc;
-    sc.mode = opts.sancheck;
-    sc.staged = {offsets_buf, adj_buf};
-    analyzer.emplace(std::move(sc), mem);
-  }
   obs::Scope launch_span(opts.obs, config.name, "launch");
+  // The CSR (offsets + neighbours) is staged by the host.
   result.kernel =
-      sim.run(kernel, config, 1, opts.exec, analyzer ? &*analyzer : nullptr);
+      launch(opts, sim, mem, kernel, config, {offsets_buf, adj_buf});
 
   // Deterministic reduction: fold per-warp slots in warp order.
   std::uint64_t triangles = 0, simulated_edges = 0, simulated_work = 0;
@@ -234,6 +225,8 @@ GpuIntersectResult count_triangles_gpu_intersect(
     k.kernel_time_s =
         cycles / (dev.core_clock_ghz * 1e9) + cal::kKernelLaunchOverheadS;
     k.sample_fraction = 1.0 / f;
+    // Keep the recorded profile matching the caller-visible report.
+    if (opts.prof) opts.prof->rescale_last(f);
   }
 
   // Span duration and counters use the final (post-rescale) report.
@@ -252,8 +245,7 @@ GpuIntersectResult count_triangles_gpu_intersect(
 
 sancheck::FootprintSpec intersect_footprint_spec(
     const Graph& g, const GpuIntersectOptions& opts) {
-  const gpusim::DeviceSpec& dev =
-      opts.device ? *opts.device : gpusim::tesla_c1060();
+  const gpusim::DeviceSpec& dev = opts.device_spec();
   const std::uint32_t blocks = opts.blocks ? opts.blocks : 2 * dev.sm_count;
   const std::uint32_t tpb = opts.threads_per_block;
   LGG_CHECK(tpb >= dev.warp_size && tpb % dev.warp_size == 0,

@@ -32,22 +32,6 @@ std::uint64_t cliques_rec(const Graph& g, const std::vector<Vertex>& cands,
   return total;
 }
 
-std::uint64_t indep_rec(const Graph& g, const std::vector<Vertex>& cands,
-                        std::uint32_t need) {
-  if (need == 0) return 1;
-  if (cands.size() < need) return 0;
-  if (need == 1) return cands.size();
-  std::uint64_t total = 0;
-  std::vector<Vertex> next;
-  for (std::size_t i = 0; i < cands.size(); ++i) {
-    next.clear();
-    for (std::size_t j = i + 1; j < cands.size(); ++j)
-      if (!g.has_edge(cands[i], cands[j])) next.push_back(cands[j]);
-    total += indep_rec(g, next, need - 1);
-  }
-  return total;
-}
-
 /// Enumerate, for every component and every window of `window_levels`
 /// consecutive BFS levels, each k-combination of window vertices whose
 /// minimum element lies in the window's first level; invoke `test` with
@@ -151,20 +135,6 @@ std::uint64_t count_kcliques_als(const Graph& g, std::uint32_t k) {
   for_each_window_combination(g, 2, k, [&](std::span<const Vertex> vs) {
     if (is_clique(g, vs)) ++total;
   });
-  return total;
-}
-
-std::uint64_t count_independent_sets(const Graph& g, std::uint32_t k) {
-  LGG_CHECK(k >= 1, "count_independent_sets: k must be >= 1");
-  if (k == 1) return g.num_vertices();
-  std::uint64_t total = 0;
-  std::vector<Vertex> cands;
-  for (Vertex v = 0; v < g.num_vertices(); ++v) {
-    cands.clear();
-    for (Vertex u = v + 1; u < g.num_vertices(); ++u)
-      if (!g.has_edge(v, u)) cands.push_back(u);
-    total += indep_rec(g, cands, k - 1);
-  }
   return total;
 }
 

@@ -1,14 +1,12 @@
 // Counting problems of size k (paper Section III, extending [5]):
-// k-cliques, independent sets of size k, and connected induced subgraphs
-// of size k.  Each problem has an efficient direct oracle plus a
-// paper-style counter that walks BFS-level windows with combination
-// generation, so tests can prove the level-restriction arguments:
+// k-cliques and connected induced subgraphs of size k.  Each problem has
+// an efficient direct oracle plus a paper-style counter that walks
+// BFS-level windows with combination generation, so tests can prove the
+// level-restriction arguments:
 //
 //  * a k-clique spans at most TWO adjacent BFS levels (mutually adjacent
 //    vertices differ by at most one level) — same windowing as triangles;
-//  * a connected subgraph of size k spans at most k consecutive levels;
-//  * independent sets have NO level locality, so the paper-style counter
-//    for them is the direct one (documented substitution — see DESIGN.md).
+//  * a connected subgraph of size k spans at most k consecutive levels.
 #pragma once
 
 #include <cstdint>
@@ -28,10 +26,6 @@ std::uint64_t count_kcliques(const graph::Graph& g, std::uint32_t k);
 /// Exponential in window size — intended for the correctness argument and
 /// modest graphs.
 std::uint64_t count_kcliques_als(const graph::Graph& g, std::uint32_t k);
-
-/// Number of independent sets of exactly k vertices (no edge inside),
-/// by backtracking with vertex ordering.
-std::uint64_t count_independent_sets(const graph::Graph& g, std::uint32_t k);
 
 /// Number of connected induced subgraphs on exactly k vertices, via the
 /// ESU (FANMOD) enumeration — exact oracle.

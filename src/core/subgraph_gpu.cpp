@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <optional>
 #include <span>
 #include <utility>
 
@@ -167,8 +166,7 @@ GpuKCountResult run_kcount(const Graph& g, std::uint32_t k,
                            const GpuKCountOptions& opts,
                            const Accept& accept) {
   LGG_CHECK(k >= 1 && k <= 16, "GPU k-count supports 1 <= k <= 16");
-  const gpusim::DeviceSpec& dev =
-      opts.device ? *opts.device : gpusim::tesla_c1060();
+  const gpusim::DeviceSpec& dev = opts.device_spec();
   const std::uint32_t blocks = opts.blocks ? opts.blocks : 2 * dev.sm_count;
   const std::uint32_t tpb = opts.threads_per_block;
   LGG_CHECK(tpb >= dev.warp_size && tpb % dev.warp_size == 0,
@@ -262,18 +260,10 @@ GpuKCountResult run_kcount(const Graph& g, std::uint32_t k,
   config.blocks = blocks;
   config.threads_per_block = tpb;
 
-  // Sancheck wiring: the adjacency matrix is staged by the host.
-  std::optional<sancheck::TapeAnalyzer> analyzer;
-  if (opts.sancheck != sancheck::SancheckMode::kOff) {
-    sancheck::SancheckConfig sc;
-    sc.mode = opts.sancheck;
-    sc.staged = {matrix};
-    analyzer.emplace(std::move(sc), mem);
-  }
   {
     obs::Scope span(opts.obs, config.name, "launch");
-    result.kernel = sim.run(kernel, config, 1, opts.exec,
-                            analyzer ? &*analyzer : nullptr);
+    // The adjacency matrix is staged by the host.
+    result.kernel = launch(opts, sim, mem, kernel, config, {matrix});
 
     // Deterministic reduction: fold per-warp slots in warp order.
     std::uint64_t found = 0, simulated = 0;
@@ -284,10 +274,13 @@ GpuKCountResult run_kcount(const Graph& g, std::uint32_t k,
     result.simulated_tests = simulated;
     result.count = found;
     result.exact = simulated == total;
-    if (!result.exact && simulated > 0)
-      rescale(result.kernel,
-              static_cast<double>(total) / static_cast<double>(simulated),
-              dev);
+    if (!result.exact && simulated > 0) {
+      const double f =
+          static_cast<double>(total) / static_cast<double>(simulated);
+      rescale(result.kernel, f, dev);
+      // Keep the recorded profile matching the caller-visible report.
+      if (opts.prof) opts.prof->rescale_last(f);
+    }
 
     // Span duration and counters use the final (post-rescale) report.
     span.model_s(result.kernel.kernel_time_s);
@@ -309,8 +302,7 @@ sancheck::FootprintSpec subgraph_footprint_spec(
     const GpuKCountOptions& opts) {
   LGG_CHECK(k >= 1 && k <= 16, "GPU k-count supports 1 <= k <= 16");
   LGG_CHECK(window_levels >= 1, "window_levels must be positive");
-  const gpusim::DeviceSpec& dev =
-      opts.device ? *opts.device : gpusim::tesla_c1060();
+  const gpusim::DeviceSpec& dev = opts.device_spec();
   const std::uint32_t blocks = opts.blocks ? opts.blocks : 2 * dev.sm_count;
   const std::uint32_t tpb = opts.threads_per_block;
   LGG_CHECK(tpb >= dev.warp_size && tpb % dev.warp_size == 0,
@@ -373,8 +365,7 @@ GpuKCountResult count_connected_subgraphs_gpu(const Graph& g,
 
 GpuTriangleListing list_triangles_gpu(const Graph& g,
                                       const GpuKCountOptions& opts) {
-  const gpusim::DeviceSpec& dev =
-      opts.device ? *opts.device : gpusim::tesla_c1060();
+  const gpusim::DeviceSpec& dev = opts.device_spec();
 
   GpuTriangleListing listing;
   std::vector<std::array<Vertex, 3>> out;

@@ -20,36 +20,25 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/run_context.hpp"
 #include "graph/graph.hpp"
 #include "gpusim/device.hpp"
 #include "gpusim/executor.hpp"
 #include "gpusim/report.hpp"
-#include "obs/obs.hpp"
 #include "sancheck/footprint.hpp"
-#include "sancheck/sancheck.hpp"
 
 namespace lgg::core {
 
-struct GpuKCountOptions {
-  /// Device to simulate; nullptr selects the paper's C1060.
-  const gpusim::DeviceSpec* device = nullptr;
+struct GpuKCountOptions : RunContext {
   std::uint32_t blocks = 0;  // 0 = 2 x SM count
   std::uint32_t threads_per_block = 128;
   /// Cap on candidates simulated (0 = all); statistics rescale, `exact`
   /// clears, as in count_triangles_gpu.
   std::uint64_t max_simulated_tests = 0;
-  /// Host-side simulator execution policy (parallel by default;
-  /// bit-identical to serial).
-  gpusim::ExecPolicy exec;
-  /// Hazard analysis of the launch (sancheck/sancheck.hpp).
-  sancheck::SancheckMode sancheck = sancheck::SancheckMode::kOff;
   /// Optional fault hook (non-owning) installed on the driver's
   /// DeviceMemory and Simulator; fired faults surface as
   /// gpusim::DeviceFault (DESIGN.md §11).
   gpusim::FaultHook* faults = nullptr;
-  /// Optional observability session: transfer/launch spans plus gpusim
-  /// counters (DESIGN.md §12).
-  obs::Session* obs = nullptr;
 };
 
 struct GpuKCountResult {
@@ -84,7 +73,9 @@ struct GpuTriangleListing {
 
 /// Triangle LISTING (Section VII): like the counting kernel, but every
 /// found triangle is appended to a device output buffer (three 4-byte
-/// writes), which shows up in the transaction/bandwidth accounting.
+/// writes), which shows up in the transaction/bandwidth accounting.  The
+/// appends are priced analytically after the launch, so an attached
+/// profiler records the counting launch without them.
 GpuTriangleListing list_triangles_gpu(const graph::Graph& g,
                                       const GpuKCountOptions& opts = {});
 

@@ -1,8 +1,6 @@
 #include "core/triangle_gpu.hpp"
 
 #include <algorithm>
-#include <optional>
-#include <utility>
 
 #include "combi/strategies.hpp"
 #include "gpusim/calibration.hpp"
@@ -142,8 +140,7 @@ class TestCursor {
 
 GpuTriangleResult count_triangles_gpu(const graph::Graph& g,
                                       const GpuTriangleOptions& opts) {
-  const gpusim::DeviceSpec& dev =
-      opts.device ? *opts.device : gpusim::tesla_c1060();
+  const gpusim::DeviceSpec& dev = opts.device_spec();
   const std::uint32_t blocks =
       opts.blocks ? opts.blocks : 2 * dev.sm_count;
   const std::uint32_t tpb = opts.threads_per_block;
@@ -300,20 +297,13 @@ GpuTriangleResult count_triangles_gpu(const graph::Graph& g,
   config.blocks = blocks;
   config.threads_per_block = tpb;
 
-  // Sancheck wiring: the host stages the whole adjacency layout before the
-  // launch, so every read from it is initialised by definition.
-  std::optional<sancheck::TapeAnalyzer> analyzer;
-  if (opts.sancheck != sancheck::SancheckMode::kOff) {
-    sancheck::SancheckConfig sc;
-    sc.mode = opts.sancheck;
-    sc.staged = layout.per_job ? layout.blocks
-                               : std::vector<Buffer>{layout.matrix};
-    analyzer.emplace(std::move(sc), mem);
-  }
   {
     obs::Scope span(opts.obs, config.name, "launch");
-    result.kernel = sim.run(kernel, config, 1, opts.exec,
-                            analyzer ? &*analyzer : nullptr, opts.prof);
+    // The host stages the whole adjacency layout before the launch, so
+    // every read from it is initialised by definition.
+    result.kernel = launch(opts, sim, mem, kernel, config,
+                           layout.per_job ? layout.blocks
+                                          : std::vector<Buffer>{layout.matrix});
 
     // Deterministic reduction: fold per-warp slots in warp order.
     std::uint64_t triangles = 0;
@@ -378,8 +368,7 @@ GpuTriangleResult count_triangles_gpu(const graph::Graph& g,
 
 sancheck::FootprintSpec als_footprint_spec(const graph::Graph& g,
                                            const GpuTriangleOptions& opts) {
-  const gpusim::DeviceSpec& dev =
-      opts.device ? *opts.device : gpusim::tesla_c1060();
+  const gpusim::DeviceSpec& dev = opts.device_spec();
   const std::uint32_t blocks =
       opts.blocks ? opts.blocks : 2 * dev.sm_count;
   const std::uint32_t tpb = opts.threads_per_block;

@@ -7,6 +7,8 @@
 #include <fstream>
 #include <sstream>
 
+#include <unistd.h>
+
 #include "combi/binomial.hpp"
 #include "combi/strategies.hpp"
 #include "core/approx.hpp"
@@ -75,7 +77,8 @@ struct TempGraphFile {
   explicit TempGraphFile(const graph::Graph& g, std::uint64_t tag) {
     static std::atomic<std::uint64_t> sequence{0};
     std::ostringstream name;
-    name << "lgg-fuzz-" << tag << '-' << sequence.fetch_add(1) << ".txt";
+    name << "lgg-fuzz-" << ::getpid() << '-' << tag << '-'
+         << sequence.fetch_add(1) << ".txt";
     path = (std::filesystem::temp_directory_path() / name.str()).string();
     graph::write_snap_edge_list_file(path, g, "fuzz streaming path");
   }
@@ -124,8 +127,7 @@ PathOutcome wedge_path(const graph::Graph& g, const PathContext& ctx) {
 PathOutcome bfs_gpu_path(const graph::Graph& g, const PathContext& ctx) {
   core::GpuBfsOptions opts;
   opts.threads_per_block = kThreadsPerBlock;
-  opts.exec = ctx.exec;
-  opts.sancheck = ctx.sancheck;
+  static_cast<core::RunContext&>(opts) = ctx.run();
   const auto got = core::bfs_gpu(g, 0, opts);
   const auto want = graph::bfs(g, 0);
   std::uint64_t mismatches = 0;
@@ -227,8 +229,7 @@ std::vector<CountingPath> default_paths() {
            opts.layout = layout;
            opts.blocks = kBlocks;
            opts.threads_per_block = kThreadsPerBlock;
-           opts.exec = ctx.exec;
-           opts.sancheck = ctx.sancheck;
+           static_cast<core::RunContext&>(opts) = ctx.run();
            return exact(core::count_triangles_gpu(g, opts).triangles);
          }});
   }
@@ -237,8 +238,7 @@ std::vector<CountingPath> default_paths() {
          core::GpuIntersectOptions opts;
          opts.blocks = kBlocks;
          opts.threads_per_block = kThreadsPerBlock;
-         opts.exec = ctx.exec;
-         opts.sancheck = ctx.sancheck;
+         static_cast<core::RunContext&>(opts) = ctx.run();
          return exact(core::count_triangles_gpu_intersect(g, opts).triangles);
        }});
   add({"gpu/kclique3", PathKind::kExact, true, {},
@@ -246,8 +246,7 @@ std::vector<CountingPath> default_paths() {
          core::GpuKCountOptions opts;
          opts.blocks = kBlocks;
          opts.threads_per_block = kThreadsPerBlock;
-         opts.exec = ctx.exec;
-         opts.sancheck = ctx.sancheck;
+         static_cast<core::RunContext&>(opts) = ctx.run();
          return exact(core::count_kcliques_gpu(g, 3, opts).count);
        }});
   add({"gpu/list-size", PathKind::kExact, true, {},
@@ -255,16 +254,14 @@ std::vector<CountingPath> default_paths() {
          core::GpuKCountOptions opts;
          opts.blocks = kBlocks;
          opts.threads_per_block = kThreadsPerBlock;
-         opts.exec = ctx.exec;
-         opts.sancheck = ctx.sancheck;
+         static_cast<core::RunContext&>(opts) = ctx.run();
          return exact(core::list_triangles_gpu(g, opts).triangles.size());
        }});
   add({"hybrid", PathKind::kExact, true, {},
        [](const graph::Graph& g, const PathContext& ctx) {
          core::HybridOptions opts;
          opts.threads_per_block = kThreadsPerBlock;
-         opts.exec = ctx.exec;
-         opts.sancheck = ctx.sancheck;
+         static_cast<core::RunContext&>(opts) = ctx.run();
          return exact(core::count_triangles_hybrid(g, opts).triangles);
        }});
   add({"gpu/bfs-levels", PathKind::kInvariant, true,
@@ -309,8 +306,7 @@ CountingPath resilient_fault_path(double rate, std::uint64_t salt,
         resilience::FaultRates::uniform(rate));
     resilience::RunnerOptions opts;
     opts.threads_per_block = kThreadsPerBlock;
-    opts.exec = ctx.exec;
-    opts.sancheck = ctx.sancheck;
+    static_cast<core::RunContext&>(opts) = ctx.run();
     opts.faults = &injector;
     opts.retry.max_retries = max_retries;
     opts.failover = failover;

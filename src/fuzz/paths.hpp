@@ -26,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "core/run_context.hpp"
 #include "gpusim/executor.hpp"
 #include "graph/graph.hpp"
 #include "resilience/runner.hpp"
@@ -45,6 +46,15 @@ struct PathContext {
   sancheck::SancheckMode sancheck = sancheck::SancheckMode::kStrict;
   /// Deterministic per-iteration seed for randomized paths (DOULION).
   std::uint64_t seed = 0;
+
+  /// What a simulator-backed path hands its driver: `exec` and
+  /// `sancheck`, everything else at the RunContext defaults.
+  [[nodiscard]] core::RunContext run() const {
+    core::RunContext ctx;
+    ctx.exec = exec;
+    ctx.sancheck = sancheck;
+    return ctx;
+  }
 };
 
 struct PathOutcome {

@@ -1,8 +1,8 @@
 // lgg_prof: the deterministic kernel profiler (DESIGN.md §17).
 //
 // Profiler implements gpusim::ProfilerHook: attach one to a driver
-// (GpuTriangleOptions / HybridOptions / RunnerOptions / ServeOptions all
-// carry a `prof` pointer) and every successful launch deposits a
+// (every kernel's core::RunContext and ServeOptions carry a `prof`
+// pointer) and every successful launch deposits a
 // KernelProfile — modelled hardware counters, span-stack attribution,
 // per-SM occupancy rows and derived roofline/bandwidth metrics.  The
 // hook fires from host-serial executor code after the shard merge, so
@@ -43,8 +43,8 @@ class Profiler final : public gpusim::ProfilerHook {
                  const gpusim::LaunchCounters& counters,
                  const gpusim::KernelReport& report) override;
 
-  /// Mirror of the drivers' post-launch KernelReport rescale (triangle
-  /// test-sampling, hybrid chunk truncation): scales the last recorded
+  /// Mirror of the drivers' post-launch KernelReport rescale (test
+  /// sampling, hybrid chunk truncation): scales the last recorded
   /// profile by `factor` with the same transformation, so the profile
   /// keeps matching the caller-visible report.  No-op for factor <= 1.
   void rescale_last(double factor) override;

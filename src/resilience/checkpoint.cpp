@@ -190,8 +190,8 @@ void write_file_atomic(const std::string& path, const std::string& content) {
             "cannot rename " << tmp << " into place at " << path);
 }
 
-std::uint64_t runner_options_fingerprint(const RunnerOptions& opts,
-                                         const gpusim::DeviceSpec& dev) {
+std::uint64_t runner_options_fingerprint(const RunnerOptions& opts) {
+  const gpusim::DeviceSpec& dev = opts.device_spec();
   std::uint64_t h = kFnvOffset;
   fold(h, static_cast<std::uint64_t>(opts.metric));
   fold(h, opts.threads_per_block);

@@ -94,7 +94,7 @@ struct Checkpoint {
 /// bit-identical across policies, so a run checkpointed at --threads 1
 /// may resume at --threads 8.
 [[nodiscard]] std::uint64_t runner_options_fingerprint(
-    const RunnerOptions& opts, const gpusim::DeviceSpec& dev);
+    const RunnerOptions& opts);
 
 /// FNV-1a over the per-chunk test counts — pins the Algorithm 1 plan.
 [[nodiscard]] std::uint64_t plan_digest_of(

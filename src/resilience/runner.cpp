@@ -140,8 +140,7 @@ LostRecount recount_lost_tests(const graph::Graph& g,
 /// run.
 RunnerReport run_impl(const graph::Graph& g, const RunnerOptions& opts,
                       const Checkpoint* ck) {
-  const gpusim::DeviceSpec& dev =
-      opts.device ? *opts.device : gpusim::tesla_c1060();
+  const gpusim::DeviceSpec& dev = opts.device_spec();
   const std::uint32_t tpb = opts.threads_per_block;
   LGG_CHECK(tpb >= dev.warp_size && tpb % dev.warp_size == 0,
             "threads_per_block must be a positive multiple of the warp size");
@@ -163,7 +162,7 @@ RunnerReport run_impl(const graph::Graph& g, const RunnerOptions& opts,
   obs::Scope plan_span(cold_obs, "plan/chunking", "plan");
   if (opts.prepared == nullptr) {
     core::HybridOptions popts;
-    popts.device = &dev;
+    popts.device = opts.device;
     popts.metric = opts.metric;
     local_plan = core::precompute_als(g, popts);
   }
@@ -230,13 +229,9 @@ RunnerReport run_impl(const graph::Graph& g, const RunnerOptions& opts,
   // Options for the chunk kernel launches (the sim/mem pair is created
   // fresh per attempt; the faults hook rides on those, not on `inner`).
   core::HybridOptions inner;
-  inner.device = &dev;
+  static_cast<core::RunContext&>(inner) = opts;
   inner.metric = opts.metric;
   inner.threads_per_block = tpb;
-  inner.exec = opts.exec;
-  inner.sancheck = opts.sancheck;
-  inner.obs = opts.obs;
-  inner.prof = opts.prof;
 
   RunnerReport report;
   report.exact = true;
@@ -286,7 +281,7 @@ RunnerReport run_impl(const graph::Graph& g, const RunnerOptions& opts,
   std::uint32_t since_ckpt = 0;
   const std::uint64_t graph_dig = checkpointing ? graph::graph_digest(g) : 0;
   const std::uint64_t options_fp =
-      checkpointing ? runner_options_fingerprint(opts, dev) : 0;
+      checkpointing ? runner_options_fingerprint(opts) : 0;
   const std::uint64_t plan_dig =
       checkpointing ? plan_digest_of(test_sizes) : 0;
 
@@ -689,8 +684,6 @@ RunnerReport resume_resilient(const graph::Graph& g,
                               const RunnerOptions& opts) {
   LGG_CHECK(!opts.checkpoint_path.empty(),
             "resume_resilient requires RunnerOptions::checkpoint_path");
-  const gpusim::DeviceSpec& dev =
-      opts.device ? *opts.device : gpusim::tesla_c1060();
   const Checkpoint ck = load_checkpoint(opts.checkpoint_path);
   const std::uint64_t gd = graph::graph_digest(g);
   if (ck.graph_digest != gd)
@@ -699,7 +692,7 @@ RunnerReport resume_resilient(const graph::Graph& g,
         "checkpoint was taken for a different graph (digest " +
             graph::digest_hex(ck.graph_digest) + ", this graph is " +
             graph::digest_hex(gd) + ")");
-  if (ck.options_fp != runner_options_fingerprint(opts, dev))
+  if (ck.options_fp != runner_options_fingerprint(opts))
     throw CheckpointError(
         CheckpointError::Kind::kPlanMismatch,
         "checkpointed options fingerprint does not match this run's "

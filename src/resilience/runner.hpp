@@ -31,12 +31,12 @@
 #include <vector>
 
 #include "core/hybrid.hpp"
+#include "core/run_context.hpp"
 #include "gpusim/device.hpp"
 #include "gpusim/executor.hpp"
 #include "gpusim/report.hpp"
 #include "graph/graph.hpp"
 #include "resilience/fault.hpp"
-#include "sancheck/sancheck.hpp"
 #include "sched/makespan.hpp"
 
 namespace lgg::resilience {
@@ -75,16 +75,15 @@ struct RetryPolicy {
   [[nodiscard]] double backoff_s(std::uint32_t retry) const noexcept;
 };
 
-struct RunnerOptions {
-  /// Device to simulate; nullptr selects the paper's C1060.
-  const gpusim::DeviceSpec* device = nullptr;
+/// The run context (core::RunContext) reaches every chunk launch.  The
+/// report, log, spans, metrics and profile are bit-identical across
+/// `exec` policies, fault pattern included; launches of retried or
+/// discarded attempts are profiled too.  `prof` is not part of the
+/// checkpoint fingerprint.
+struct RunnerOptions : core::RunContext {
   graph::SizeMetric metric = graph::SizeMetric::kSutm;
   std::uint32_t threads_per_block = 128;
   core::SchedulerKind scheduler = core::SchedulerKind::kLpt;
-  /// Host-side simulator execution policy (report is bit-identical
-  /// across policies, including the fault pattern and the log).
-  gpusim::ExecPolicy exec;
-  sancheck::SancheckMode sancheck = sancheck::SancheckMode::kOff;
   /// Fault injector (non-owning); nullptr runs fault-free (the runner
   /// then degenerates to a verified hybrid run).
   FaultInjector* faults = nullptr;
@@ -97,17 +96,6 @@ struct RunnerOptions {
   /// Streaming failover batch size, in tests per batch (bounds the
   /// working set of the kStream path).
   std::uint64_t stream_batch_tests = 1u << 16;
-  /// Optional observability session: chunk/retry/failover/schedule spans
-  /// plus resilience counters (DESIGN.md §12).  Forwarded to the chunk
-  /// kernel launches, which contribute their own launch spans and gpusim
-  /// counters.  Spans and metrics are byte-identical across ExecPolicies,
-  /// like the log.
-  obs::Session* obs = nullptr;
-  /// Optional profiler hook (non-owning), forwarded to every chunk kernel
-  /// launch (DESIGN.md §17).  Launches of retried / discarded attempts
-  /// are profiled too — the attempt sequence is deterministic, so the
-  /// profile stream still is.  Not part of the checkpoint fingerprint.
-  gpusim::ProfilerHook* prof = nullptr;
   /// Optional precomputed Algorithm 1 plan (non-owning; see
   /// core::precompute_als).  When set, the runner skips chunking / level
   /// decomposition / per-chunk ALS work and charges ZERO modelled

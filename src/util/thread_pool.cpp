@@ -46,6 +46,50 @@ void ThreadPool::worker_loop() {
   }
 }
 
+namespace {
+
+/// Completion state of one parallel_for batch, a stack local of the
+/// caller.  Every chunk records its exception and every queued task
+/// arrives under the one mutex, and the notify happens before that mutex
+/// is released — so once wait() has seen the last arrival, no worker
+/// touches the batch again and the caller may destroy it.
+class Batch {
+ public:
+  explicit Batch(std::size_t pending) : pending_(pending) {}
+
+  /// Run one chunk, keeping the first exception for wait().
+  void run(const std::function<void(std::size_t, std::size_t)>& fn,
+           std::size_t begin, std::size_t end) {
+    try {
+      fn(begin, end);
+    } catch (...) {
+      const std::lock_guard lock(mutex_);
+      if (!first_error_) first_error_ = std::current_exception();
+    }
+  }
+
+  /// Called once by each queued task after its last chunk.
+  void arrive() {
+    const std::lock_guard lock(mutex_);
+    if (--pending_ == 0) done_.notify_all();
+  }
+
+  /// Block until every queued task arrived, then rethrow the first error.
+  void wait() {
+    std::unique_lock lock(mutex_);
+    done_.wait(lock, [this] { return pending_ == 0; });
+    if (first_error_) std::rethrow_exception(first_error_);
+  }
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable done_;
+  std::size_t pending_;
+  std::exception_ptr first_error_;
+};
+
+}  // namespace
+
 void ThreadPool::parallel_for(
     std::size_t n, const std::function<void(std::size_t, std::size_t)>& fn,
     std::size_t grain) {
@@ -61,12 +105,7 @@ void ThreadPool::parallel_for(
     return;
   }
 
-  std::atomic<std::size_t> remaining{chunks - 1};
-  std::exception_ptr first_error;
-  std::mutex error_mutex;
-  std::mutex done_mutex;
-  std::condition_variable done_cv;
-
+  Batch batch(chunks - 1);
   const std::size_t base = n / chunks;
   const std::size_t extra = n % chunks;
   // Chunk 0 runs inline on the calling thread below; chunks 1..C-1 go to
@@ -75,17 +114,9 @@ void ThreadPool::parallel_for(
   for (std::size_t c = 1; c < chunks; ++c) {
     const std::size_t len = base + (c < extra ? 1 : 0);
     const std::size_t end = begin + len;
-    auto task = [&, begin, end] {
-      try {
-        fn(begin, end);
-      } catch (...) {
-        const std::lock_guard lock(error_mutex);
-        if (!first_error) first_error = std::current_exception();
-      }
-      if (remaining.fetch_sub(1) == 1) {
-        const std::lock_guard lock(done_mutex);
-        done_cv.notify_all();
-      }
+    auto task = [&batch, &fn, begin, end] {
+      batch.run(fn, begin, end);
+      batch.arrive();
     };
     {
       const std::lock_guard lock(mutex_);
@@ -95,16 +126,8 @@ void ThreadPool::parallel_for(
   }
   cv_.notify_all();
 
-  try {
-    fn(0, base + (0 < extra ? 1 : 0));
-  } catch (...) {
-    const std::lock_guard lock(error_mutex);
-    if (!first_error) first_error = std::current_exception();
-  }
-
-  std::unique_lock lock(done_mutex);
-  done_cv.wait(lock, [&] { return remaining.load() == 0; });
-  if (first_error) std::rethrow_exception(first_error);
+  batch.run(fn, 0, base + (0 < extra ? 1 : 0));
+  batch.wait();
 }
 
 void ThreadPool::parallel_for_dynamic(
@@ -125,51 +148,33 @@ void ThreadPool::parallel_for_dynamic(
   const std::size_t base = n / chunks;
   const std::size_t extra = n % chunks;
 
+  // One claiming task per worker (never more tasks than chunks); the
+  // calling thread claims chunks too, so every chunk is joined before the
+  // scope exits even if the queue is busy.
+  const std::size_t tasks = std::min(workers_.size(), chunks - 1);
+  Batch batch(tasks);
   std::atomic<std::size_t> next{0};
-  std::exception_ptr first_error;
-  std::mutex error_mutex;
-
   auto run_chunks = [&] {
     for (;;) {
       const std::size_t c = next.fetch_add(1);
       if (c >= chunks) return;
       const std::size_t begin = c * base + std::min(c, extra);
-      const std::size_t end = begin + base + (c < extra ? 1 : 0);
-      try {
-        fn(begin, end);
-      } catch (...) {
-        const std::lock_guard lock(error_mutex);
-        if (!first_error) first_error = std::current_exception();
-      }
+      batch.run(fn, begin, begin + base + (c < extra ? 1 : 0));
     }
   };
-
-  // One claiming task per worker (never more tasks than chunks); the
-  // calling thread claims chunks too, so every chunk is joined before the
-  // scope exits even if the queue is busy.
-  const std::size_t tasks = std::min(workers_.size(), chunks - 1);
-  std::atomic<std::size_t> remaining{tasks};
-  std::mutex done_mutex;
-  std::condition_variable done_cv;
   {
     const std::lock_guard lock(mutex_);
     for (std::size_t t = 0; t < tasks; ++t) {
       tasks_.emplace([&] {
         run_chunks();
-        if (remaining.fetch_sub(1) == 1) {
-          const std::lock_guard done_lock(done_mutex);
-          done_cv.notify_all();
-        }
+        batch.arrive();
       });
     }
   }
   cv_.notify_all();
 
   run_chunks();
-
-  std::unique_lock lock(done_mutex);
-  done_cv.wait(lock, [&] { return remaining.load() == 0; });
-  if (first_error) std::rethrow_exception(first_error);
+  batch.wait();
 }
 
 }  // namespace lgg

@@ -4,6 +4,7 @@
 
 #include "graph/formats.hpp"
 #include "graph/generators.hpp"
+#include "temp_path.hpp"
 #include "util/error.hpp"
 
 namespace lgg::graph {
@@ -45,7 +46,7 @@ TEST(Dimacs, RoundTrip) {
 }
 
 TEST(Dimacs, FileRoundTrip) {
-  const std::string path = ::testing::TempDir() + "/lgg_fmt.dimacs";
+  const std::string path = testutil::temp_path("k5.dimacs");
   const Graph g = complete(5);
   write_dimacs_file(path, g, "K5");
   EXPECT_EQ(read_dimacs_file(path).num_edges(), 10u);

@@ -8,6 +8,7 @@
 #include <sstream>
 
 #include "lgg.hpp"
+#include "temp_path.hpp"
 
 namespace lgg::fuzz {
 namespace {
@@ -237,8 +238,7 @@ TEST(FuzzEngine, ClassifiesBrokenInvariant) {
 // --- the acceptance demo: detect, shrink, emit, replay -------------------
 
 TEST(FuzzEngine, DetectsShrinksAndReproducesInjectedFault) {
-  const auto corpus_dir = std::filesystem::temp_directory_path() /
-                          "lgg_fuzz_engine_test_corpus";
+  const std::filesystem::path corpus_dir = testutil::temp_path("corpus");
   std::filesystem::remove_all(corpus_dir);
 
   EngineOptions opts;

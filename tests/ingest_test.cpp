@@ -18,6 +18,7 @@
 #include "ingest/ingest.hpp"
 #include "ingest/orient.hpp"
 #include "core/triangle_cpu.hpp"
+#include "temp_path.hpp"
 #include "util/error.hpp"
 
 namespace lgg::ingest {
@@ -178,7 +179,7 @@ TEST(IngestErrors, FirstMalformedLineWinsAcrossChunks) {
 
 TEST(IngestFile, LoadsWhatItWrites) {
   const Graph g = graph::gnm(200, 900, 5);
-  const std::string path = ::testing::TempDir() + "/lgg_ingest_file.txt";
+  const std::string path = testutil::temp_path("gnm.txt");
   graph::write_snap_edge_list_file(path, g, "ingest file test");
 
   const LoadedGraph want = graph::read_snap_edge_list_file(path);

@@ -5,6 +5,7 @@
 
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
+#include "temp_path.hpp"
 #include "util/error.hpp"
 
 namespace lgg::graph {
@@ -65,7 +66,7 @@ TEST(SnapIo, WriteIncludesHeaderCounts) {
 
 TEST(SnapIo, FileRoundTrip) {
   const Graph g = complete(5);
-  const std::string path = ::testing::TempDir() + "/lgg_io_test_k5.txt";
+  const std::string path = testutil::temp_path("k5.txt");
   write_snap_edge_list_file(path, g, "K5");
   const LoadedGraph loaded = read_snap_edge_list_file(path);
   EXPECT_EQ(loaded.graph.num_vertices(), 5u);
@@ -76,7 +77,7 @@ TEST(SnapIo, FileRoundTrip) {
 // always parse with the defaults, so pad_to_declared_nodes silently did
 // nothing for files (while working for streams).
 TEST(SnapIo, FileOverloadHonoursReadOptions) {
-  const std::string path = ::testing::TempDir() + "/lgg_io_test_pad.txt";
+  const std::string path = testutil::temp_path("pad.txt");
   {
     std::ofstream out(path);
     out << "# Nodes: 9 Edges: 2\n0 1\n1 2\n";

@@ -48,34 +48,6 @@ TEST_P(KCliqueAlsAgreement, PaperStyleMatchesOracle) {
 
 INSTANTIATE_TEST_SUITE_P(K, KCliqueAlsAgreement, ::testing::Values(1, 2, 3, 4, 5));
 
-// ---- independent sets ----
-
-TEST(IndependentSets, KnownValues) {
-  // Empty graph on n vertices: C(n, k) independent sets.
-  EXPECT_EQ(count_independent_sets(Graph(8), 3), binomial(8, 3));
-  // Complete graph: none beyond k=1.
-  EXPECT_EQ(count_independent_sets(graph::complete(6), 2), 0u);
-  EXPECT_EQ(count_independent_sets(graph::complete(6), 1), 6u);
-  // K_{a,b}: independent k-sets live entirely in one side.
-  EXPECT_EQ(count_independent_sets(graph::complete_bipartite(4, 5), 3),
-            binomial(4, 3) + binomial(5, 3));
-  // C5: independent pairs = C(5,2) - 5 edges = 5.
-  EXPECT_EQ(count_independent_sets(graph::cycle(5), 2), 5u);
-}
-
-TEST(IndependentSets, ComplementDuality) {
-  // Independent sets of G = cliques of the complement.
-  const Graph g = graph::erdos_renyi(18, 0.5, 4);
-  std::vector<graph::Edge> comp_edges;
-  for (graph::Vertex u = 0; u < 18; ++u)
-    for (graph::Vertex v = u + 1; v < 18; ++v)
-      if (!g.has_edge(u, v)) comp_edges.emplace_back(u, v);
-  const Graph complement = Graph::from_edges(18, comp_edges);
-  for (std::uint32_t k = 2; k <= 4; ++k)
-    EXPECT_EQ(count_independent_sets(g, k), count_kcliques(complement, k))
-        << k;
-}
-
 // ---- connected subgraphs ----
 
 TEST(ConnectedSubgraphs, KnownValues) {
@@ -118,7 +90,6 @@ TEST(ConnectedSubgraphs, ZeroKThrows) {
   EXPECT_THROW(count_connected_subgraphs(Graph(2), 0), lgg::Error);
   EXPECT_THROW(count_connected_subgraphs_als(Graph(2), 0), lgg::Error);
   EXPECT_THROW(count_kcliques_als(Graph(2), 0), lgg::Error);
-  EXPECT_THROW(count_independent_sets(Graph(2), 0), lgg::Error);
 }
 
 }  // namespace

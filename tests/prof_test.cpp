@@ -8,6 +8,9 @@
 // ignore patterns behave per the prom_diff contract.
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -53,6 +56,19 @@ ProfRun run_gpu(const graph::Graph& g, gpusim::ExecPolicy exec,
   return r;
 }
 
+/// The launch-level fields a profile copies from its KernelReport.
+void expect_profile_matches(const prof::KernelProfile& p,
+                            const gpusim::KernelReport& k) {
+  EXPECT_EQ(p.global_slots, k.global_slots) << p.name;
+  EXPECT_EQ(p.transactions, k.transactions) << p.name;
+  EXPECT_EQ(p.bytes, k.bytes) << p.name;
+  EXPECT_EQ(p.shared_slots, k.shared_slots) << p.name;
+  EXPECT_EQ(p.bank_conflict_steps, k.bank_conflict_steps) << p.name;
+  EXPECT_DOUBLE_EQ(p.warp_instructions, k.warp_instructions) << p.name;
+  EXPECT_DOUBLE_EQ(p.camping_factor, k.camping_factor) << p.name;
+  EXPECT_DOUBLE_EQ(p.kernel_time_s, k.kernel_time_s) << p.name;
+}
+
 TEST(ProfCounters, MatchKernelReportAndInvariants) {
   const graph::Graph g = test_graph();
   const ProfRun r = run_gpu(g, gpusim::ExecPolicy::serial());
@@ -61,14 +77,7 @@ TEST(ProfCounters, MatchKernelReportAndInvariants) {
   const gpusim::KernelReport& k = r.result.kernel;
 
   // The profile IS the caller-visible report, field for field.
-  EXPECT_EQ(p.global_slots, k.global_slots);
-  EXPECT_EQ(p.transactions, k.transactions);
-  EXPECT_EQ(p.bytes, k.bytes);
-  EXPECT_EQ(p.shared_slots, k.shared_slots);
-  EXPECT_EQ(p.bank_conflict_steps, k.bank_conflict_steps);
-  EXPECT_DOUBLE_EQ(p.warp_instructions, k.warp_instructions);
-  EXPECT_DOUBLE_EQ(p.camping_factor, k.camping_factor);
-  EXPECT_DOUBLE_EQ(p.kernel_time_s, k.kernel_time_s);
+  expect_profile_matches(p, k);
 
   // Documented LaunchCounters invariants.
   EXPECT_EQ(p.coalesced_slots + p.uncoalesced_slots, p.global_slots);
@@ -168,6 +177,103 @@ TEST(ProfDeterminism, ResilientRunAttributesChunks) {
   EXPECT_EQ(serial.first, par.first);
   EXPECT_NE(serial.first.find("stack="), std::string::npos);
   EXPECT_NE(serial.first.find("chunk["), std::string::npos);
+}
+
+// BFS, intersection and k-clique launches reach the profiler through the
+// shared run context with no per-kernel code: their counters match the
+// caller-visible reports, the profile is policy-independent, and it is
+// pinned by a golden file.
+TEST(ProfGolden, BfsIntersectKcliqueOnSingleTriangle) {
+  const std::string repo = LGG_REPO_DIR;
+  const graph::Graph g =
+      graph::read_snap_edge_list_file(repo + "/tests/corpus/single-triangle.txt")
+          .graph;
+  const auto run = [&](gpusim::ExecPolicy exec) {
+    obs::Session sess;
+    prof::Profiler profiler(&sess);
+    core::RunContext ctx;
+    ctx.exec = exec;
+    ctx.obs = &sess;
+    ctx.prof = &profiler;
+
+    core::GpuBfsOptions bfs_opts;
+    static_cast<core::RunContext&>(bfs_opts) = ctx;
+    const core::GpuBfsResult bfs = core::bfs_gpu(g, 0, bfs_opts);
+    // BFS exposes per-level reports only as sums: one profile per level,
+    // and the profiles add up to the result's totals.
+    std::size_t launches = profiler.profiles().size();
+    EXPECT_EQ(launches, bfs.iterations);
+    std::uint64_t transactions = 0, bytes = 0;
+    double kernel_time_s = 0.0;
+    for (const prof::KernelProfile& p : profiler.profiles()) {
+      transactions += p.transactions;
+      bytes += p.bytes;
+      kernel_time_s += p.kernel_time_s;
+    }
+    EXPECT_EQ(transactions, bfs.transactions);
+    EXPECT_EQ(bytes, bfs.bytes);
+    EXPECT_DOUBLE_EQ(kernel_time_s, bfs.kernel_time_s);
+
+    core::GpuIntersectOptions intersect_opts;
+    static_cast<core::RunContext&>(intersect_opts) = ctx;
+    const core::GpuIntersectResult intersect =
+        core::count_triangles_gpu_intersect(g, intersect_opts);
+    EXPECT_EQ(intersect.triangles, 1u);
+    EXPECT_EQ(profiler.profiles().size(), ++launches);
+    expect_profile_matches(profiler.profiles().back(), intersect.kernel);
+
+    core::GpuKCountOptions kcount_opts;
+    static_cast<core::RunContext&>(kcount_opts) = ctx;
+    const core::GpuKCountResult cliques =
+        core::count_kcliques_gpu(g, 3, kcount_opts);
+    EXPECT_EQ(cliques.count, 1u);
+    EXPECT_EQ(profiler.profiles().size(), ++launches);
+    expect_profile_matches(profiler.profiles().back(), cliques.kernel);
+    return profiler.profile_text();
+  };
+  const std::string serial = run(gpusim::ExecPolicy::serial());
+  EXPECT_EQ(serial, run(gpusim::ExecPolicy::parallel(8)));
+
+  const std::string golden_path =
+      repo + "/ci/golden/single-triangle.kernels.prof";
+  std::ifstream in(golden_path, std::ios::binary);
+  ASSERT_TRUE(in.good()) << "missing " << golden_path;
+  std::ostringstream golden;
+  golden << in.rdbuf();
+  if (golden.str() != serial) {
+    // Left in the test's working directory (the build tree) for review.
+    const std::filesystem::path fresh =
+        std::filesystem::absolute("single-triangle.kernels.prof");
+    std::ofstream(fresh, std::ios::binary) << serial;
+    ADD_FAILURE() << "profile differs from " << golden_path
+                  << "; the fresh profile is in " << fresh.string()
+                  << " (copy it over the golden if the change is intended)";
+  }
+}
+
+TEST(ProfCounters, SampledIntersectAndKcliqueProfilesTrackReports) {
+  // Both drivers rescale a truncated launch's report; the profile must
+  // follow (rescale_last) so it keeps matching what the caller sees.
+  const graph::Graph g = test_graph();
+  prof::Profiler profiler;
+
+  core::GpuIntersectOptions intersect_opts;
+  intersect_opts.prof = &profiler;
+  intersect_opts.max_simulated_edges = 200;
+  const auto intersect = core::count_triangles_gpu_intersect(g, intersect_opts);
+  ASSERT_FALSE(intersect.exact);
+  expect_profile_matches(profiler.profiles().back(), intersect.kernel);
+  EXPECT_DOUBLE_EQ(profiler.profiles().back().sample_fraction,
+                   intersect.kernel.sample_fraction);
+
+  core::GpuKCountOptions kcount_opts;
+  kcount_opts.prof = &profiler;
+  kcount_opts.max_simulated_tests = 1000;
+  const auto cliques = core::count_kcliques_gpu(g, 3, kcount_opts);
+  ASSERT_FALSE(cliques.exact);
+  expect_profile_matches(profiler.profiles().back(), cliques.kernel);
+  EXPECT_DOUBLE_EQ(profiler.profiles().back().sample_fraction,
+                   cliques.kernel.sample_fraction);
 }
 
 TEST(ProfExports, MetricsAggregateAndTracksRender) {

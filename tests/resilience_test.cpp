@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "lgg.hpp"
+#include "temp_path.hpp"
 
 namespace {
 
@@ -523,21 +524,19 @@ resilience::RunnerOptions checkpoint_opts(FaultInjector& inj,
 TEST(CheckpointResume, ByteIdenticalAfterKillAtAnyThreadCount) {
   using checkpointing::Kill;
   const graph::Graph g = chunked_graph();
-  const std::string dir = ::testing::TempDir();
-
   // Uninterrupted reference, serial policy, checkpointing ON (the cadence
   // leaves spans and counters that a resumed run must reproduce).
   obs::Session ref_sess;
   FaultInjector ref_inj(99, FaultRates::uniform(0.1));
   const auto ref_report = resilience::run_resilient(
       g, checkpointing::checkpoint_opts(ref_inj, ref_sess,
-                                        dir + "lggckpt_ref.ckpt"));
+                                        testutil::temp_path("ref.ckpt")));
   const auto ref = checkpointing::artifacts_of(ref_report, ref_sess);
   ASSERT_GE(ref_report.chunks.size(), 4u);  // the kill point must be mid-run
 
   for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
     const std::string path =
-        dir + "lggckpt_t" + std::to_string(threads) + ".ckpt";
+        testutil::temp_path("t" + std::to_string(threads) + ".ckpt");
     {
       // The victim: dies right after the checkpoint for chunk 1 lands.
       obs::Session sess;
@@ -568,7 +567,7 @@ TEST(CheckpointResume, ByteIdenticalAfterKillAtAnyThreadCount) {
 TEST(CheckpointResume, TamperedOrTruncatedCheckpointIsTypedThenColdRunWorks) {
   using checkpointing::Kill;
   const graph::Graph g = chunked_graph();
-  const std::string path = ::testing::TempDir() + "lggckpt_tamper.ckpt";
+  const std::string path = testutil::temp_path("tamper.ckpt");
   {
     obs::Session sess;
     FaultInjector inj(99, FaultRates::uniform(0.1));
@@ -624,8 +623,6 @@ TEST(CheckpointResume, TamperedOrTruncatedCheckpointIsTypedThenColdRunWorks) {
 TEST(CheckpointResume, MissingAndIncompatibleCheckpointsAreTyped) {
   using checkpointing::Kill;
   const graph::Graph g = chunked_graph();
-  const std::string dir = ::testing::TempDir();
-
   const auto expect_kind = [&](const resilience::RunnerOptions& opts,
                                const graph::Graph& graph,
                                resilience::CheckpointError::Kind want) {
@@ -644,12 +641,12 @@ TEST(CheckpointResume, MissingAndIncompatibleCheckpointsAreTyped) {
     obs::Session sess;
     FaultInjector inj(99, FaultRates::uniform(0.1));
     const auto opts = checkpointing::checkpoint_opts(
-        inj, sess, dir + "lggckpt_does_not_exist.ckpt");
+        inj, sess, testutil::temp_path("does_not_exist.ckpt"));
     expect_kind(opts, g, resilience::CheckpointError::Kind::kMissing);
   }
 
   // Take a real checkpoint to misuse below.
-  const std::string path = dir + "lggckpt_mismatch.ckpt";
+  const std::string path = testutil::temp_path("mismatch.ckpt");
   {
     obs::Session sess;
     FaultInjector inj(99, FaultRates::uniform(0.1));

@@ -7,13 +7,14 @@
 #include "graph/io.hpp"
 #include "stream/edge_stream.hpp"
 #include "stream/streaming_triangles.hpp"
+#include "temp_path.hpp"
 #include "util/error.hpp"
 
 namespace lgg::stream {
 namespace {
 
 std::string write_temp_graph(const graph::Graph& g, const std::string& name) {
-  const std::string path = ::testing::TempDir() + "/" + name;
+  const std::string path = testutil::temp_path(name);
   graph::write_snap_edge_list_file(path, g, "stream test");
   return path;
 }
@@ -34,7 +35,7 @@ TEST(EdgeStream, StatsAndIteration) {
 }
 
 TEST(EdgeStream, SkipsCommentsAndLoops) {
-  const std::string path = ::testing::TempDir() + "/es_loops.txt";
+  const std::string path = testutil::temp_path("es_loops.txt");
   {
     std::ofstream out(path);
     out << "# header\n1 1\n1 2\n\n2 3\n";
@@ -45,7 +46,7 @@ TEST(EdgeStream, SkipsCommentsAndLoops) {
 }
 
 TEST(EdgeStream, MalformedLineThrows) {
-  const std::string path = ::testing::TempDir() + "/es_bad.txt";
+  const std::string path = testutil::temp_path("es_bad.txt");
   {
     std::ofstream out(path);
     out << "1 2\noops\n";
@@ -93,7 +94,7 @@ TEST(ExternalCount, StructuredGraphs) {
 }
 
 TEST(ExternalCount, EmptyStream) {
-  const std::string path = ::testing::TempDir() + "/es_empty.txt";
+  const std::string path = testutil::temp_path("es_empty.txt");
   {
     std::ofstream out(path);
     out << "# nothing\n";

@@ -349,5 +349,35 @@ TEST(ThreadPool, ReusableAfterException) {
   EXPECT_EQ(total.load(), 100);
 }
 
+// Overwrites the stack region a just-returned parallel_for frame used, so
+// a worker still touching that frame's completion state (mutex, condition
+// variable, counters) reads garbage instead of stale-but-valid bytes.
+[[gnu::noinline]] void clobber_dead_frame() {
+  volatile unsigned char junk[4096];
+  for (std::size_t i = 0; i < sizeof(junk); ++i)
+    junk[i] = static_cast<unsigned char>(0xA5 ^ i);
+}
+
+// The caller of parallel_for may return as soon as the last chunk is
+// accounted for; a worker must not touch the caller's stack after that
+// point.  Thousands of tiny batches make the window between the last
+// worker's completion and its notify likely to be hit at least once.
+TEST(ThreadPool, CompletionSurvivesCallerFrameReuse) {
+  for (std::size_t workers = 1; workers <= 8; ++workers) {
+    ThreadPool pool(workers);
+    for (int rep = 0; rep < 2000; ++rep) {
+      std::atomic<std::size_t> covered{0};
+      const auto count = [&](std::size_t lo, std::size_t hi) {
+        covered.fetch_add(hi - lo, std::memory_order_relaxed);
+      };
+      pool.parallel_for(workers + 1, count);
+      clobber_dead_frame();
+      pool.parallel_for_dynamic(2 * workers + 2, count, 1, 1);
+      clobber_dead_frame();
+      ASSERT_EQ(covered.load(), 3 * workers + 3) << "workers " << workers;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace lgg

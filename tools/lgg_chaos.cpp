@@ -33,13 +33,10 @@
 #include <sys/stat.h>
 #include <sys/wait.h>
 
+#include "cli_args.hpp"
 #include "lgg.hpp"
 
-namespace {
-
-using namespace lgg;
-
-[[noreturn]] void usage(const char* message = nullptr) {
+[[noreturn]] void lgg::cli::usage(const char* message) {
   if (message) std::cerr << "error: " << message << "\n\n";
   std::cerr <<
       "usage:\n"
@@ -52,6 +49,11 @@ using namespace lgg;
       "artifact of the resumed run against the reference.\n";
   std::exit(2);
 }
+
+namespace {
+
+using namespace lgg;
+using namespace lgg::cli;
 
 struct Config {
   // Sparse G(n,m): many BFS levels => many chunks on the small-shared
@@ -70,35 +72,6 @@ struct Config {
   bool resume = false;
   std::uint32_t worker_kill = 0;  // 0: run to completion
 };
-
-bool take_value(std::vector<std::string>& args, const std::string& flag,
-                std::string& value) {
-  const std::string joined = flag + "=";
-  for (auto it = args.begin(); it != args.end(); ++it) {
-    if (*it == flag) {
-      if (it + 1 == args.end()) usage(("missing value for " + flag).c_str());
-      value = *(it + 1);
-      args.erase(it, it + 2);
-      return true;
-    }
-    if (it->compare(0, joined.size(), joined) == 0) {
-      value = it->substr(joined.size());
-      args.erase(it);
-      return true;
-    }
-  }
-  return false;
-}
-
-bool take_flag(std::vector<std::string>& args, const std::string& flag) {
-  for (auto it = args.begin(); it != args.end(); ++it) {
-    if (*it == flag) {
-      args.erase(it);
-      return true;
-    }
-  }
-  return false;
-}
 
 Config parse_config(std::vector<std::string>& args) {
   Config c;

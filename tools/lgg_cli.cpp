@@ -27,13 +27,10 @@
 #include <string>
 #include <vector>
 
+#include "cli_args.hpp"
 #include "lgg.hpp"
 
-namespace {
-
-using namespace lgg;
-
-[[noreturn]] void usage(const char* message = nullptr) {
+[[noreturn]] void lgg::cli::usage(const char* message) {
   if (message) std::cerr << "error: " << message << "\n\n";
   std::cerr <<
       "usage:\n"
@@ -76,63 +73,15 @@ using namespace lgg;
   std::exit(2);
 }
 
-/// Strip "--flag value" / "--flag=value" from args; true when present.
-bool extract_value(std::vector<std::string>& args, const std::string& flag,
-                   std::string& value) {
-  const std::string joined = flag + "=";
-  for (auto it = args.begin(); it != args.end(); ++it) {
-    if (*it == flag) {
-      if (it + 1 == args.end()) usage(("missing value for " + flag).c_str());
-      value = *(it + 1);
-      args.erase(it, it + 2);
-      return true;
-    }
-    if (it->compare(0, joined.size(), joined) == 0) {
-      value = it->substr(joined.size());
-      args.erase(it);
-      return true;
-    }
-  }
-  return false;
-}
+namespace {
 
-bool extract_flag(std::vector<std::string>& args, const std::string& flag) {
-  for (auto it = args.begin(); it != args.end(); ++it) {
-    if (*it == flag) {
-      args.erase(it);
-      return true;
-    }
-  }
-  return false;
-}
-
-/// Strip "--flag" (bare) or "--flag=value" from args, never consuming the
-/// next token (for flags whose value is optional).  Returns true when the
-/// flag was present; value is "-" for the bare form.
-bool extract_optional_value(std::vector<std::string>& args,
-                            const std::string& flag, std::string& value) {
-  const std::string joined = flag + "=";
-  for (auto it = args.begin(); it != args.end(); ++it) {
-    if (*it == flag) {
-      value = "-";
-      args.erase(it);
-      return true;
-    }
-    if (it->compare(0, joined.size(), joined) == 0) {
-      value = it->substr(joined.size());
-      args.erase(it);
-      return true;
-    }
-  }
-  return false;
-}
+using namespace lgg;
+using namespace lgg::cli;
 
 /// Strip a "--threads N" flag (for commands where it only drives the
 /// ingest loader); 0 = default (shared pool).
 std::size_t extract_threads(std::vector<std::string>& args) {
-  std::string value;
-  if (!extract_value(args, "--threads", value)) return 0;
-  return static_cast<std::size_t>(std::strtoull(value.c_str(), nullptr, 10));
+  return static_cast<std::size_t>(take_u64(args, "--threads", 0));
 }
 
 /// Every command loads through the parallel ingest pipeline — its output
@@ -230,7 +179,7 @@ int cmd_stats(std::vector<std::string> args) {
 
 int cmd_count(std::vector<std::string> args) {
   const std::size_t threads = extract_threads(args);
-  const bool orient = extract_flag(args, "--orient");
+  const bool orient = take_flag(args, "--orient");
   if (args.empty()) usage("count needs a graph file");
   const std::string algo =
       orient ? "dodg" : (args.size() > 1 ? args[1] : "forward");
@@ -307,55 +256,63 @@ struct ObsCli {
   std::string profile_path;      // "-" = stdout
   std::string profile_tree_path; // "-" = stdout
   std::string flamegraph_path;   // "-" = stdout
-  bool have_threads = false;
   std::size_t threads = 0;  // also drives the ingest loader
   gpusim::ExecPolicy exec;
 
   static ObsCli extract(std::vector<std::string>& args) {
     ObsCli o;
     std::string value;
-    if (extract_value(args, "--trace", value)) {
+    if (take_value(args, "--trace", value)) {
       o.trace_path = value;
       o.enabled = true;
     }
-    if (extract_optional_value(args, "--trace-tree", value)) {
+    if (take_optional_value(args, "--trace-tree", value)) {
       o.tree_path = value;
       o.enabled = true;
     }
-    if (extract_optional_value(args, "--metrics", value)) {
+    if (take_optional_value(args, "--metrics", value)) {
       o.metrics_path = value;
       o.enabled = true;
     }
-    if (extract_optional_value(args, "--profile", value)) {
+    if (take_optional_value(args, "--profile", value)) {
       o.profile_path = value;
       o.enabled = o.profiling = true;
     }
-    if (extract_optional_value(args, "--profile-tree", value)) {
+    if (take_optional_value(args, "--profile-tree", value)) {
       o.profile_tree_path = value;
       o.enabled = o.profiling = true;
     }
-    if (extract_optional_value(args, "--flamegraph", value)) {
+    if (take_optional_value(args, "--flamegraph", value)) {
       o.flamegraph_path = value;
       o.enabled = true;  // flamegraph is a pure function of the span tree
     }
-    if (extract_value(args, "--trace-cap", value)) {
+    if (take_value(args, "--trace-cap", value)) {
       o.sess.tracer.set_span_cap(
           static_cast<std::size_t>(std::strtoull(value.c_str(), nullptr, 10)));
       o.enabled = true;
     }
-    if (extract_value(args, "--threads", value)) {
+    if (take_value(args, "--threads", value)) {
       const auto n =
           static_cast<std::uint32_t>(std::strtoul(value.c_str(), nullptr, 10));
       o.exec = n <= 1 ? gpusim::ExecPolicy::serial()
                       : gpusim::ExecPolicy::parallel(n);
-      o.have_threads = true;
       o.threads = n;
     }
     return o;
   }
 
   obs::Session* session() { return enabled ? &sess : nullptr; }
-  gpusim::ProfilerHook* prof() { return profiling ? &profiler : nullptr; }
+
+  /// The run context of a simulated-kernel command: the parsed session,
+  /// profiler and --threads policy plus the command's --sancheck mode.
+  core::RunContext context(sancheck::SancheckMode mode) {
+    core::RunContext ctx;
+    ctx.exec = exec;
+    ctx.sancheck = mode;
+    ctx.obs = session();
+    ctx.prof = profiling ? &profiler : nullptr;
+    return ctx;
+  }
 
   void write_or_die(const std::string& path, const std::string& text) {
     if (path == "-") {
@@ -393,12 +350,10 @@ struct ObsCli {
 };
 
 int cmd_gpu(std::vector<std::string> args) {
-  core::GpuTriangleOptions opts;
-  opts.sancheck = extract_sancheck(args);
+  const sancheck::SancheckMode mode = extract_sancheck(args);
   ObsCli ocli = ObsCli::extract(args);
-  opts.obs = ocli.session();
-  opts.prof = ocli.prof();
-  if (ocli.have_threads) opts.exec = ocli.exec;
+  core::GpuTriangleOptions opts;
+  static_cast<core::RunContext&>(opts) = ocli.context(mode);
   if (args.empty()) usage("gpu needs a graph file");
   const graph::Graph g = load(args[0], ocli.threads);
   const std::string layout = args.size() > 1 ? args[1] : "improved";
@@ -431,19 +386,17 @@ int cmd_gpu(std::vector<std::string> args) {
 }
 
 int cmd_hybrid(std::vector<std::string> args) {
-  core::HybridOptions opts;
-  opts.sancheck = extract_sancheck(args);
+  const sancheck::SancheckMode mode = extract_sancheck(args);
   ObsCli ocli = ObsCli::extract(args);
-  opts.obs = ocli.session();
-  opts.prof = ocli.prof();
-  if (ocli.have_threads) opts.exec = ocli.exec;
+  core::HybridOptions opts;
+  static_cast<core::RunContext&>(opts) = ocli.context(mode);
   if (args.empty()) usage("hybrid needs a graph file");
   opts.max_simulated_tests_per_chunk = 100000;
   const auto r = core::count_triangles_hybrid(load(args[0], ocli.threads), opts);
   std::cout << "chunks: " << r.shared_chunks << " shared-resident, "
             << r.global_chunks << " global-resident\n"
             << "makespan " << format_seconds(r.makespan_s) << " on "
-            << gpusim::tesla_c1060().sm_count << " SMs (Eq. 6 estimate "
+            << opts.device_spec().sm_count << " SMs (Eq. 6 estimate "
             << format_seconds(r.eq6_time_s) << ")\n"
             << "end-to-end " << format_seconds(r.total_time_s) << "\n";
   if (r.exact) std::cout << "triangles: " << r.triangles << "\n";
@@ -454,16 +407,14 @@ int cmd_hybrid(std::vector<std::string> args) {
 }
 
 int cmd_resilient(std::vector<std::string> args) {
-  resilience::RunnerOptions opts;
-  opts.sancheck = extract_sancheck(args);
+  const sancheck::SancheckMode mode = extract_sancheck(args);
   ObsCli ocli = ObsCli::extract(args);
-  opts.obs = ocli.session();
-  opts.prof = ocli.prof();
-  if (ocli.have_threads) opts.exec = ocli.exec;
+  resilience::RunnerOptions opts;
+  static_cast<core::RunContext&>(opts) = ocli.context(mode);
 
   resilience::FaultInjector injector(0, resilience::FaultRates{});
   std::string value;
-  if (extract_value(args, "--faults", value)) {
+  if (take_value(args, "--faults", value)) {
     // RATE or RATE,SEED — e.g. --faults=0.1,7
     const auto comma = value.find(',');
     const double rate =
@@ -476,10 +427,10 @@ int cmd_resilient(std::vector<std::string> args) {
                                          resilience::FaultRates::uniform(rate));
     opts.faults = &injector;
   }
-  if (extract_value(args, "--max-retries", value))
+  if (take_value(args, "--max-retries", value))
     opts.retry.max_retries =
         static_cast<std::uint32_t>(std::strtoul(value.c_str(), nullptr, 10));
-  if (extract_value(args, "--failover", value)) {
+  if (take_value(args, "--failover", value)) {
     if (value == "cpu")
       opts.failover = resilience::Failover::kCpu;
     else if (value == "stream")
@@ -489,14 +440,14 @@ int cmd_resilient(std::vector<std::string> args) {
     else
       usage(("unknown failover mode: " + value).c_str());
   }
-  if (extract_flag(args, "--no-verify")) opts.verify = false;
-  if (extract_flag(args, "--no-salvage")) opts.salvage = false;
-  if (extract_value(args, "--checkpoint", value)) opts.checkpoint_path = value;
-  if (extract_value(args, "--checkpoint-every", value))
+  if (take_flag(args, "--no-verify")) opts.verify = false;
+  if (take_flag(args, "--no-salvage")) opts.salvage = false;
+  if (take_value(args, "--checkpoint", value)) opts.checkpoint_path = value;
+  if (take_value(args, "--checkpoint-every", value))
     opts.checkpoint_every_chunks =
         static_cast<std::uint32_t>(std::strtoul(value.c_str(), nullptr, 10));
-  const bool resume = extract_flag(args, "--resume");
-  const bool show_log = extract_flag(args, "--log");
+  const bool resume = take_flag(args, "--resume");
+  const bool show_log = take_flag(args, "--log");
   if (args.empty()) usage("resilient needs a graph file");
   if (args.size() > 1)
     usage(("unknown resilient option: " + args[1]).c_str());
@@ -534,13 +485,11 @@ int cmd_resilient(std::vector<std::string> args) {
 /// --serial and --threads 8 runs.
 int cmd_ingest(std::vector<std::string> args) {
   ObsCli ocli = ObsCli::extract(args);
-  const bool serial = extract_flag(args, "--serial");
-  const bool orient = extract_flag(args, "--orient");
-  const bool pad = extract_flag(args, "--pad");
-  std::string value;
-  std::size_t chunk_bytes = 0;
-  if (extract_value(args, "--chunk-bytes", value))
-    chunk_bytes = std::strtoull(value.c_str(), nullptr, 10);
+  const bool serial = take_flag(args, "--serial");
+  const bool orient = take_flag(args, "--orient");
+  const bool pad = take_flag(args, "--pad");
+  const auto chunk_bytes =
+      static_cast<std::size_t>(take_u64(args, "--chunk-bytes", 0));
   if (args.empty()) usage("ingest needs a graph file");
 
   graph::LoadedGraph loaded;

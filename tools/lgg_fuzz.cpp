@@ -17,13 +17,10 @@
 #include <string>
 #include <vector>
 
+#include "cli_args.hpp"
 #include "lgg.hpp"
 
-namespace {
-
-using namespace lgg;
-
-[[noreturn]] void usage(const char* message = nullptr) {
+[[noreturn]] void lgg::cli::usage(const char* message) {
   if (message) std::cerr << "error: " << message << "\n\n";
   std::cerr <<
       "usage:\n"
@@ -40,50 +37,16 @@ using namespace lgg;
   std::exit(2);
 }
 
-/// Pop "--flag value" / "--flag" style options from args; returns true
-/// and erases when found.
-bool take_flag(std::vector<std::string>& args, const std::string& flag) {
-  for (auto it = args.begin(); it != args.end(); ++it) {
-    if (*it == flag) {
-      args.erase(it);
-      return true;
-    }
-  }
-  return false;
-}
+namespace {
 
-/// Accepts both "--flag value" and "--flag=value".
-bool take_value(std::vector<std::string>& args, const std::string& flag,
-                std::string& value) {
-  const std::string joined = flag + "=";
-  for (auto it = args.begin(); it != args.end(); ++it) {
-    if (*it == flag) {
-      if (it + 1 == args.end()) usage(("missing value for " + flag).c_str());
-      value = *(it + 1);
-      args.erase(it, it + 2);
-      return true;
-    }
-    if (it->compare(0, joined.size(), joined) == 0) {
-      value = it->substr(joined.size());
-      args.erase(it);
-      return true;
-    }
-  }
-  return false;
-}
+using namespace lgg;
+using namespace lgg::cli;
 
 resilience::Failover parse_failover(const std::string& v) {
   if (v == "cpu") return resilience::Failover::kCpu;
   if (v == "stream") return resilience::Failover::kStream;
   if (v == "off") return resilience::Failover::kOff;
   usage(("unknown failover mode: " + v).c_str());
-}
-
-std::uint64_t take_u64(std::vector<std::string>& args, const std::string& flag,
-                       std::uint64_t fallback) {
-  std::string v;
-  return take_value(args, flag, v) ? std::strtoull(v.c_str(), nullptr, 10)
-                                   : fallback;
 }
 
 /// Replay one repro through the full cross-product; prints findings.

@@ -19,13 +19,10 @@
 #include <string>
 #include <vector>
 
+#include "cli_args.hpp"
 #include "lgg.hpp"
 
-namespace {
-
-using namespace lgg;
-
-[[noreturn]] void usage(const char* message = nullptr) {
+[[noreturn]] void lgg::cli::usage(const char* message) {
   if (message) std::cerr << "error: " << message << "\n\n";
   std::cerr <<
       "usage:\n"
@@ -36,24 +33,10 @@ using namespace lgg;
   std::exit(2);
 }
 
-bool take_value(std::vector<std::string>& args, const std::string& flag,
-                std::string& value) {
-  const std::string joined = flag + "=";
-  for (auto it = args.begin(); it != args.end(); ++it) {
-    if (*it == flag) {
-      if (it + 1 == args.end()) usage(("missing value for " + flag).c_str());
-      value = *(it + 1);
-      args.erase(it, it + 2);
-      return true;
-    }
-    if (it->compare(0, joined.size(), joined) == 0) {
-      value = it->substr(joined.size());
-      args.erase(it);
-      return true;
-    }
-  }
-  return false;
-}
+namespace {
+
+using namespace lgg;
+using namespace lgg::cli;
 
 std::string read_or_die(const std::string& path) {
   std::ifstream in(path, std::ios::binary);

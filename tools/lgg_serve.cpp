@@ -56,13 +56,10 @@
 #include <string>
 #include <vector>
 
+#include "cli_args.hpp"
 #include "lgg.hpp"
 
-namespace {
-
-using namespace lgg;
-
-[[noreturn]] void usage(const char* message = nullptr) {
+[[noreturn]] void lgg::cli::usage(const char* message) {
   if (message) std::cerr << "error: " << message << "\n\n";
   std::cerr <<
       "usage:\n"
@@ -87,42 +84,10 @@ using namespace lgg;
   std::exit(2);
 }
 
-bool take_flag(std::vector<std::string>& args, const std::string& flag) {
-  for (auto it = args.begin(); it != args.end(); ++it) {
-    if (*it == flag) {
-      args.erase(it);
-      return true;
-    }
-  }
-  return false;
-}
+namespace {
 
-/// Accepts both "--flag value" and "--flag=value".
-bool take_value(std::vector<std::string>& args, const std::string& flag,
-                std::string& value) {
-  const std::string joined = flag + "=";
-  for (auto it = args.begin(); it != args.end(); ++it) {
-    if (*it == flag) {
-      if (it + 1 == args.end()) usage(("missing value for " + flag).c_str());
-      value = *(it + 1);
-      args.erase(it, it + 2);
-      return true;
-    }
-    if (it->compare(0, joined.size(), joined) == 0) {
-      value = it->substr(joined.size());
-      args.erase(it);
-      return true;
-    }
-  }
-  return false;
-}
-
-std::uint64_t take_u64(std::vector<std::string>& args,
-                       const std::string& flag, std::uint64_t fallback) {
-  std::string value;
-  if (!take_value(args, flag, value)) return fallback;
-  return std::strtoull(value.c_str(), nullptr, 10);
-}
+using namespace lgg;
+using namespace lgg::cli;
 
 void write_or_die(const std::string& path, const std::string& text) {
   if (path == "-") {
