@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 
 #include "combi/binomial.hpp"
 #include "util/error.hpp"
@@ -145,6 +146,67 @@ bool als_advance_test(const AlsJob& job, TestTriple& t) noexcept {
     return true;
   }
   return false;
+}
+
+StridedTestCursor::StridedTestCursor(std::span<const AlsJob> jobs,
+                                     std::uint64_t first, std::uint64_t stride)
+    : jobs_(jobs), stride_(stride) {
+  LGG_CHECK(stride > 0, "StridedTestCursor: stride must be positive");
+  seek(first);
+}
+
+void StridedTestCursor::seek(std::uint64_t flat) {
+  // Last job at or after the current one with test_offset <= flat; that
+  // job covers flat whenever flat is inside the plan (zero-test jobs have
+  // empty intervals and are skipped by the same rule).
+  const auto it = std::upper_bound(
+      jobs_.begin() + static_cast<std::ptrdiff_t>(job_), jobs_.end(), flat,
+      [](std::uint64_t f, const AlsJob& j) { return f < j.test_offset; });
+  if (it == jobs_.begin() + static_cast<std::ptrdiff_t>(job_) ||
+      flat - std::prev(it)->test_offset >= std::prev(it)->tests) {
+    job_ = jobs_.size();  // past the last test
+    return;
+  }
+  job_ = static_cast<std::size_t>(std::prev(it) - jobs_.begin());
+  local_ = flat - jobs_[job_].test_offset;
+  t_ = als_decode_test(jobs_[job_], local_);
+}
+
+void StridedTestCursor::advance() {
+  LGG_ASSERT(!done());
+  const AlsJob& job = jobs_[job_];
+  if (stride_ >= job.tests - local_) {
+    seek(job.test_offset + local_ + stride_);
+    return;
+  }
+  local_ += stride_;
+  // Hop whole z-rows: from (y, z) the next row's first test (y+1, y+2) is
+  // s - z steps away.
+  std::uint64_t rest = stride_;
+  while (rest >= job.s - t_.z) {
+    rest -= job.s - t_.z;
+    ++t_.y;
+    t_.z = t_.y + 1;
+    if (t_.z == job.s) {
+      // Out of rows: `rest` steps past the first test of x block x+1.  Skip
+      // whole blocks (block x holds C(s-1-x, 2) pairs), then unrank the
+      // pair exactly as als_decode_test does.  The job still covers
+      // local_, so the walk stops inside a block below x_max.
+      ++t_.x;
+      std::uint32_t m = job.s - 1 - t_.x;
+      while (rest >= std::uint64_t{m} * (m - 1) / 2) {
+        rest -= std::uint64_t{m} * (m - 1) / 2;
+        ++t_.x;
+        --m;
+      }
+      std::uint32_t first = 0, second = 0;
+      unrank_pair(rest, m, first, second);
+      t_.y = t_.x + 1 + first;
+      t_.z = t_.x + 1 + second;
+      return;
+    }
+  }
+  t_.z += static_cast<std::uint32_t>(rest);
 }
 
 }  // namespace lgg::core

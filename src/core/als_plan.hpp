@@ -19,7 +19,9 @@
 // straight to their work range — the Section VIII-D strategy.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "graph/bfs.hpp"
@@ -72,5 +74,40 @@ std::uint64_t als_test_index(const AlsJob& job, const TestTriple& t);
 /// Advance a decoded triple to the next test in index order without a full
 /// decode (z, then y, then x).  Returns false past the last test.
 bool als_advance_test(const AlsJob& job, TestTriple& t) noexcept;
+
+/// Strided walk over the flat test space of consecutive jobs (an AlsPlan's,
+/// or a chunk's with chunk-relative offsets): visits first, first + stride,
+/// first + 2*stride, ... up to the end of the last job.  This is Section
+/// VIII-D's "unrank the first combination once, then step": the cursor
+/// decodes (job lookup + als_decode_test) only at construction and on
+/// entering another job.  Inside a job a step hops z-rows of length s-1-y;
+/// a step that runs out of rows skips whole x blocks of C(s-1-x, 2) tests
+/// and unranks the landing pair, with no binomial search.  Each visited
+/// triple equals als_decode_test(job, local index).
+class StridedTestCursor {
+ public:
+  /// `jobs` must outlive the cursor; their test_offsets must be prefix sums
+  /// starting at 0.  A `first` past the end gives a cursor that is done().
+  StridedTestCursor(std::span<const AlsJob> jobs, std::uint64_t first,
+                    std::uint64_t stride);
+
+  /// True once the walk has left the last job.
+  [[nodiscard]] bool done() const noexcept { return job_ == jobs_.size(); }
+  [[nodiscard]] std::size_t job_index() const noexcept { return job_; }
+  [[nodiscard]] const AlsJob& job() const noexcept { return jobs_[job_]; }
+  [[nodiscard]] const TestTriple& triple() const noexcept { return t_; }
+
+  /// Move `stride` tests forward.  Requires !done().
+  void advance();
+
+ private:
+  void seek(std::uint64_t flat);
+
+  std::span<const AlsJob> jobs_;
+  std::uint64_t stride_;
+  std::size_t job_ = 0;
+  std::uint64_t local_ = 0;  // index within jobs_[job_]
+  TestTriple t_{};
+};
 
 }  // namespace lgg::core

@@ -94,15 +94,25 @@ std::uint64_t count_chunk_cpu(const graph::Graph& g, const ChunkWork& work) {
 
 namespace {
 
-/// Locate the ALS job covering chunk-relative flat index `flat`.
-const AlsJob& job_for(const ChunkWork& work, std::uint64_t flat) {
-  auto it = std::upper_bound(
-      work.jobs.begin(), work.jobs.end(), flat,
-      [](std::uint64_t f, const AlsJob& j) { return f < j.test_offset; });
-  LGG_ASSERT(it != work.jobs.begin());
-  --it;
-  LGG_ASSERT(flat - it->test_offset < it->tests);
-  return *it;
+/// Position of every job-local id inside chunk.vertices (sorted), the
+/// index space of the chunk matrix: positions[j][l] is the matrix row of
+/// work.jobs[j].local_to_global[l].  Built once per launch on the host and
+/// read-only in the kernel, so a test's three probes are table lookups.
+/// Every position is below chunk.vertices.size(), the index bound
+/// hybrid_footprint_spec declares for the chunk's jobs.
+std::vector<std::vector<std::uint32_t>> chunk_positions(
+    const graph::Chunk& chunk, const ChunkWork& work) {
+  const auto& chunk_vs = chunk.vertices;
+  std::vector<std::vector<std::uint32_t>> positions(work.jobs.size());
+  for (std::size_t j = 0; j < work.jobs.size(); ++j) {
+    positions[j].reserve(work.jobs[j].local_to_global.size());
+    for (const graph::Vertex v : work.jobs[j].local_to_global) {
+      const auto it = std::lower_bound(chunk_vs.begin(), chunk_vs.end(), v);
+      LGG_ASSERT(it != chunk_vs.end() && *it == v);
+      positions[j].push_back(static_cast<std::uint32_t>(it - chunk_vs.begin()));
+    }
+  }
+  return positions;
 }
 
 /// Linear rescale of a kernel report by `factor` (> 1 when sampled); the
@@ -153,15 +163,10 @@ ChunkLaunch run_chunk_kernel(const graph::Graph& g, const graph::Chunk& chunk,
   gpusim::Buffer buffer{};
   if (!chunk.fits_shared) buffer = mem.alloc(chunk_device_bytes(chunk));
 
-  // Map a chunk-local vertex id: AlsJob locals index into
-  // job.local_to_global (component ids); the chunk matrix is indexed by
-  // position within chunk.vertices (sorted), found by binary search.
-  const auto& chunk_vs = chunk.vertices;
-  auto chunk_local = [&](graph::Vertex v) {
-    const auto it = std::lower_bound(chunk_vs.begin(), chunk_vs.end(), v);
-    LGG_ASSERT(it != chunk_vs.end() && *it == v);
-    return static_cast<std::uint64_t>(it - chunk_vs.begin());
-  };
+  // AlsJob locals index into job.local_to_global (component ids); the
+  // chunk matrix is indexed by position within chunk.vertices.
+  const std::vector<std::vector<std::uint32_t>> positions =
+      chunk_positions(chunk, work);
 
   // Per-thread budget (test sampling).
   const std::uint64_t threads = tpb;  // one block == one SM job
@@ -193,21 +198,21 @@ ChunkLaunch run_chunk_kernel(const graph::Graph& g, const graph::Chunk& chunk,
       }
       rec.sync();
     }
-    for (std::uint64_t i = 0; i < per_thread; ++i) {
-      // Cyclic mapping: consecutive lanes take consecutive flat
-      // indices, giving z-runs within a warp (coalescing / low bank
-      // conflict), exactly like the improved global kernel.
-      const std::uint64_t flat = ctx.global_id + i * threads;
-      if (flat >= work.tests) break;
-      const AlsJob& job = job_for(work, flat);
-      const TestTriple t = als_decode_test(job, flat - job.test_offset);
+    // Cyclic mapping: consecutive lanes take consecutive flat indices,
+    // giving z-runs within a warp (coalescing / low bank conflict),
+    // exactly like the improved global kernel.
+    StridedTestCursor cursor(work.jobs, ctx.global_id, threads);
+    for (std::uint64_t i = 0; i < per_thread && !cursor.done();
+         ++i, cursor.advance()) {
+      const AlsJob& job = cursor.job();
+      const TestTriple& t = cursor.triple();
       const graph::Vertex u = job.local_to_global[t.x];
       const graph::Vertex v = job.local_to_global[t.y];
       const graph::Vertex w = job.local_to_global[t.z];
 
       rec.compute(cal::kGpuInstructionsPerTest);
-      const std::uint64_t lu = chunk_local(u), lv = chunk_local(v),
-                          lw = chunk_local(w);
+      const auto& pos = positions[cursor.job_index()];
+      const std::uint64_t lu = pos[t.x], lv = pos[t.y], lw = pos[t.z];
       if (chunk.fits_shared) {
         // S-UTM layout in shared memory: word of pair (i < j), bit
         // index i*(2n - i - 1)/2 + (j - i - 1).
@@ -385,8 +390,9 @@ HybridFootprint hybrid_footprint_spec(const graph::Graph& g,
       fj.s = job.s;
       fj.x_max = job.x_max;
       fj.k = 3;
-      // The kernel probes by chunk-local position (chunk_local), bounded
-      // by the chunk's vertex count, a superset of any job's two levels.
+      // The kernel probes by chunk-matrix position (chunk_positions),
+      // bounded by the chunk's vertex count, a superset of any job's two
+      // levels.
       fj.index_bound = local_n;
       fj.block = job_block;
       spec.jobs.push_back(fj);

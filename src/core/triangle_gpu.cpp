@@ -85,57 +85,6 @@ Layout build_layout(const graph::Graph& g, const AlsPlan& plan,
   return layout;
 }
 
-/// Incremental position in the flat test space: resolves a flat index to
-/// (job, x, y, z), exploiting that consecutive queries usually advance z
-/// within the same job.
-class TestCursor {
- public:
-  explicit TestCursor(const AlsPlan& plan) : plan_(&plan) {}
-
-  void seek(std::uint64_t flat) {
-    LGG_ASSERT(flat < plan_->total_tests);
-    if (has_pos_ && flat >= flat_) {
-      const AlsJob& j = plan_->jobs[job_];
-      const std::uint64_t local = flat - j.test_offset;
-      if (local < j.tests) {
-        const std::uint64_t delta = flat - flat_;
-        if (delta > 0 && triple_.z + delta < j.s) {
-          triple_.z += static_cast<std::uint32_t>(delta);
-        } else if (delta > 0) {
-          triple_ = als_decode_test(j, local);
-        }
-        flat_ = flat;
-        return;
-      }
-    }
-    // Locate the covering job: last job with test_offset <= flat (zero-test
-    // jobs have empty intervals and never cover anything).
-    auto it = std::upper_bound(
-        plan_->jobs.begin(), plan_->jobs.end(), flat,
-        [](std::uint64_t f, const AlsJob& j) { return f < j.test_offset; });
-    LGG_ASSERT(it != plan_->jobs.begin());
-    --it;
-    job_ = static_cast<std::size_t>(it - plan_->jobs.begin());
-    LGG_ASSERT(flat - it->test_offset < it->tests);
-    triple_ = als_decode_test(*it, flat - it->test_offset);
-    flat_ = flat;
-    has_pos_ = true;
-  }
-
-  [[nodiscard]] std::size_t job_index() const noexcept { return job_; }
-  [[nodiscard]] const AlsJob& job() const noexcept {
-    return plan_->jobs[job_];
-  }
-  [[nodiscard]] const TestTriple& triple() const noexcept { return triple_; }
-
- private:
-  const AlsPlan* plan_;
-  std::size_t job_ = 0;
-  TestTriple triple_{};
-  std::uint64_t flat_ = 0;
-  bool has_pos_ = false;
-};
-
 }  // namespace
 
 GpuTriangleResult count_triangles_gpu(const graph::Graph& g,
@@ -226,8 +175,6 @@ GpuTriangleResult count_triangles_gpu(const graph::Graph& g,
 
   const gpusim::KernelFn kernel = [&](const gpusim::ThreadCtx& ctx,
                                       gpusim::ThreadRecorder& rec) {
-    TestCursor cursor(plan);
-
     std::uint64_t first = 0, count = 0, stride = 1;
     if (warp_interleaved) {
       const std::uint64_t warp_id = ctx.global_id / dev.warp_size;
@@ -251,9 +198,9 @@ GpuTriangleResult count_triangles_gpu(const graph::Graph& g,
       count = std::min<std::uint64_t>(range.size(), budget_per_thread);
     }
 
-    for (std::uint64_t i = 0; i < count; ++i) {
-      const std::uint64_t flat = first + i * stride;
-      cursor.seek(flat);
+    StridedTestCursor cursor(plan.jobs, first, stride);
+    for (std::uint64_t i = 0; i < count; ++i, cursor.advance()) {
+      LGG_ASSERT(!cursor.done());
       const AlsJob& job = cursor.job();
       const TestTriple& t = cursor.triple();
       const std::size_t r = cursor.job_index();

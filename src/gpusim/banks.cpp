@@ -1,6 +1,7 @@
 #include "gpusim/banks.hpp"
 
 #include <algorithm>
+#include <array>
 #include <vector>
 
 #include "util/error.hpp"
@@ -12,16 +13,35 @@ std::uint32_t bank_conflict_degree(std::span<const std::uint64_t> addrs,
   LGG_CHECK(banks > 0, "bank_conflict_degree: banks must be positive");
   if (addrs.empty()) return 0;
 
-  // Distinct words per bank; same word from many lanes broadcasts.
-  std::vector<std::vector<std::uint64_t>> words_per_bank(banks);
-  for (const std::uint64_t addr : addrs)
-    words_per_bank[bank_of(addr, banks)].push_back(addr / 4);
+  // Sort (bank, word) keys so each bank's words are one run; the degree is
+  // the longest run of distinct words (a repeated word broadcasts).  A
+  // half-warp's keys fit on the stack; only longer spans use the heap.
+  struct Key {
+    std::uint32_t bank;
+    std::uint64_t word;
+    bool operator<(const Key& o) const noexcept {
+      return bank != o.bank ? bank < o.bank : word < o.word;
+    }
+  };
+  constexpr std::size_t kStackKeys = 32;
+  std::array<Key, kStackKeys> stack_keys;
+  std::vector<Key> heap_keys;
+  Key* keys = stack_keys.data();
+  if (addrs.size() > kStackKeys) {
+    heap_keys.resize(addrs.size());
+    keys = heap_keys.data();
+  }
+  const std::size_t n = addrs.size();
+  for (std::size_t i = 0; i < n; ++i)
+    keys[i] = {bank_of(addrs[i], banks), addrs[i] / 4};
+  std::sort(keys, keys + n);
 
-  std::uint32_t degree = 1;
-  for (auto& words : words_per_bank) {
-    std::sort(words.begin(), words.end());
-    words.erase(std::unique(words.begin(), words.end()), words.end());
-    degree = std::max(degree, static_cast<std::uint32_t>(words.size()));
+  std::uint32_t degree = 1, run = 1;
+  for (std::size_t i = 1; i < n; ++i) {
+    if (keys[i].bank != keys[i - 1].bank)
+      run = 1;
+    else if (keys[i].word != keys[i - 1].word)
+      degree = std::max(degree, ++run);
   }
   return degree;
 }

@@ -276,12 +276,10 @@ KernelReport Simulator::run(const KernelFn& kernel, const KernelConfig& config,
       for (std::size_t sm = lo; sm < hi; ++sm)
         run_shard(static_cast<std::uint32_t>(sm), scratch);
     };
-    if (policy.threads > 0) {
-      ThreadPool pool(policy.threads);
-      pool.parallel_for(dev.sm_count, shard_range);
-    } else {
-      ThreadPool::shared().parallel_for(dev.sm_count, shard_range);
-    }
+    ThreadPool& pool = policy.threads > 0
+                           ? ThreadPool::with_workers(policy.threads)
+                           : ThreadPool::shared();
+    pool.parallel_for(dev.sm_count, shard_range);
   }
 
   // A decided SM abort surfaces only after every shard has finished its

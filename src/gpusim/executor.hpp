@@ -90,8 +90,8 @@ struct ExecPolicy {
   enum class Mode : std::uint8_t { kSerial, kParallel };
   Mode mode = Mode::kParallel;
   /// kParallel only: 0 uses the process-wide shared pool (sized to the
-  /// hardware concurrency); > 0 runs on a private pool of exactly that
-  /// many workers (mainly for determinism tests).
+  /// hardware concurrency); > 0 runs on the process-wide pool of exactly
+  /// that many workers (ThreadPool::with_workers), built on first use.
   std::size_t threads = 0;
 
   [[nodiscard]] static ExecPolicy serial() noexcept {

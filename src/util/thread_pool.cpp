@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <exception>
+#include <map>
+#include <memory>
 
 #include "util/error.hpp"
 
@@ -30,6 +32,16 @@ ThreadPool::~ThreadPool() {
 ThreadPool& ThreadPool::shared() {
   static ThreadPool pool;
   return pool;
+}
+
+ThreadPool& ThreadPool::with_workers(std::size_t threads) {
+  LGG_CHECK(threads > 0, "ThreadPool::with_workers: threads must be positive");
+  static std::mutex mutex;
+  static std::map<std::size_t, std::unique_ptr<ThreadPool>> pools;
+  const std::lock_guard lock(mutex);
+  std::unique_ptr<ThreadPool>& pool = pools[threads];
+  if (!pool) pool = std::make_unique<ThreadPool>(threads);
+  return *pool;
 }
 
 void ThreadPool::worker_loop() {

@@ -36,6 +36,11 @@ class ThreadPool {
   /// executor) without paying thread creation per call.
   static ThreadPool& shared();
 
+  /// Process-wide pool of exactly `threads` workers (>= 1), one per
+  /// distinct count, built on first use and kept until process exit, so
+  /// callers asking for a fixed worker count pay thread creation once.
+  static ThreadPool& with_workers(std::size_t threads);
+
   /// Runs fn(chunk_begin, chunk_end) over [0, n) split into roughly equal
   /// contiguous chunks and waits for completion.  At most one chunk per
   /// worker plus one executed inline on the calling thread; every chunk is

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <tuple>
+#include <utility>
+#include <vector>
 
 #include "combi/binomial.hpp"
 #include "core/als_plan.hpp"
@@ -132,6 +136,88 @@ TEST(AlsAdvance, MatchesDecodeSequence) {
     EXPECT_EQ(t.z, want.z);
   }
   EXPECT_FALSE(als_advance_test(job, t));
+}
+
+/// Jobs with random (s, a, is_last), zero-test jobs included, laid out
+/// with prefix-sum offsets like an AlsPlan or a multi-job chunk.
+std::vector<AlsJob> random_jobs(Xoshiro256& rng, std::size_t count) {
+  std::vector<AlsJob> jobs(count);
+  std::uint64_t offset = 0;
+  for (AlsJob& job : jobs) {
+    job.s = static_cast<std::uint32_t>(rng.uniform(31));  // 0..30
+    job.a = static_cast<std::uint32_t>(rng.uniform(job.s + 1));
+    const bool is_last = rng.uniform(4) == 0;
+    if (job.s >= 3) {
+      job.x_max = is_last ? job.s - 2 : std::min(job.a, job.s - 2);
+      job.tests = als_total_tests(job.s, job.x_max);
+    }
+    job.test_offset = offset;
+    offset += job.tests;
+  }
+  return jobs;
+}
+
+TEST(StridedCursor, EveryStepMatchesDecode) {
+  Xoshiro256 rng(2013);
+  for (int trial = 0; trial < 40; ++trial) {
+    const std::vector<AlsJob> jobs = random_jobs(rng, 1 + rng.uniform(6));
+    // Reference: (job, local) of every flat index.
+    std::vector<std::pair<std::size_t, std::uint64_t>> where;
+    for (std::size_t j = 0; j < jobs.size(); ++j)
+      for (std::uint64_t l = 0; l < jobs[j].tests; ++l) where.push_back({j, l});
+    const std::uint64_t total = where.size();
+    for (const std::uint64_t stride : {1u, 32u, 128u, 1024u}) {
+      for (std::uint64_t start = 0; start < stride; ++start) {
+        StridedTestCursor cursor(jobs, start, stride);
+        std::uint64_t flat = start;
+        for (; flat < total; flat += stride, cursor.advance()) {
+          ASSERT_FALSE(cursor.done())
+              << "trial " << trial << " stride " << stride << " flat " << flat;
+          const auto [j, local] = where[flat];
+          const TestTriple want = als_decode_test(jobs[j], local);
+          const TestTriple& got = cursor.triple();
+          ASSERT_EQ(cursor.job_index(), j) << "flat " << flat;
+          ASSERT_EQ(std::tie(got.x, got.y, got.z),
+                    std::tie(want.x, want.y, want.z))
+              << "trial " << trial << " stride " << stride << " start "
+              << start << " flat " << flat;
+        }
+        // Stops exactly at the end of the plan.
+        EXPECT_TRUE(cursor.done()) << "trial " << trial << " stride "
+                                   << stride << " start " << start;
+      }
+    }
+  }
+}
+
+TEST(StridedCursor, LargeJobStridesAcrossXBlocks) {
+  AlsJob job;
+  job.s = 160;
+  job.a = 60;
+  job.x_max = 60;
+  job.tests = als_total_tests(job.s, job.x_max);
+  for (const std::uint64_t stride : {1u, 7u, 128u, 1024u, 40000u}) {
+    StridedTestCursor cursor(std::span<const AlsJob>(&job, 1), stride / 2,
+                             stride);
+    std::uint64_t flat = stride / 2;
+    for (; flat < job.tests; flat += stride, cursor.advance()) {
+      const TestTriple want = als_decode_test(job, flat);
+      ASSERT_EQ(std::tie(cursor.triple().x, cursor.triple().y,
+                         cursor.triple().z),
+                std::tie(want.x, want.y, want.z))
+          << "stride " << stride << " flat " << flat;
+    }
+    EXPECT_TRUE(cursor.done());
+  }
+}
+
+TEST(StridedCursor, EmptyAndPastEndAreDone) {
+  EXPECT_TRUE(StridedTestCursor({}, 0, 1).done());
+  Xoshiro256 rng(5);
+  const std::vector<AlsJob> jobs = random_jobs(rng, 4);
+  const std::uint64_t total = jobs.back().test_offset + jobs.back().tests;
+  EXPECT_TRUE(StridedTestCursor(jobs, total, 32).done());
+  EXPECT_THROW(StridedTestCursor(jobs, 0, 0), lgg::Error);
 }
 
 TEST(AlsPlan, DisconnectedComponentsAllPlanned) {

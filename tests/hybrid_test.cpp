@@ -1,8 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+
+#include "core/als_plan.hpp"
 #include "core/hybrid.hpp"
 #include "core/triangle_cpu.hpp"
 #include "graph/generators.hpp"
+#include "gpusim/executor.hpp"
+#include "gpusim/memory.hpp"
 #include "util/error.hpp"
 
 namespace lgg::core {
@@ -70,6 +76,82 @@ TEST(Hybrid, ChunkTestsPartitionThePlan) {
   EXPECT_EQ(sum, r.total_tests);
   EXPECT_EQ(tri, r.triangles);
   EXPECT_EQ(r.total_tests, build_als_plan(g).total_tests);
+}
+
+/// (simulated, triangles) of one chunk launch by the kernel's own
+/// definition: thread t of `threads` takes flat indices t, t + threads, ...
+/// for at most per_thread of them, each decoded from scratch.
+std::pair<std::uint64_t, std::uint64_t> reference_chunk(
+    const Graph& g, const ChunkWork& work, std::uint64_t threads,
+    std::uint64_t max_simulated) {
+  std::uint64_t per_thread = (work.tests + threads - 1) / threads;
+  if (max_simulated > 0)
+    per_thread = std::min(
+        per_thread, std::max<std::uint64_t>(1, max_simulated / threads));
+  std::uint64_t simulated = 0, triangles = 0;
+  for (std::uint64_t t = 0; t < threads; ++t) {
+    for (std::uint64_t i = 0; i < per_thread; ++i) {
+      const std::uint64_t flat = t + i * threads;
+      if (flat >= work.tests) break;
+      std::size_t j = 0;
+      while (flat >= work.jobs[j].test_offset + work.jobs[j].tests) ++j;
+      const AlsJob& job = work.jobs[j];
+      const TestTriple tt = als_decode_test(job, flat - job.test_offset);
+      const graph::Vertex u = job.local_to_global[tt.x];
+      const graph::Vertex v = job.local_to_global[tt.y];
+      const graph::Vertex w = job.local_to_global[tt.z];
+      if (g.has_edge(u, v) && g.has_edge(v, w) && g.has_edge(u, w))
+        ++triangles;
+      ++simulated;
+    }
+  }
+  return {simulated, triangles};
+}
+
+TEST(Hybrid, TruncatedChunksMatchKernelFormula) {
+  // Wide levels give global chunks, the K20 a shared one; the budget
+  // truncates most of them.
+  const Graph g = graph::disjoint_union(
+      graph::layered_random(1800, 300, 0.03, 0.015, 9), graph::complete(20));
+  HybridOptions opts = exact_opts();
+  opts.max_simulated_tests_per_chunk = 3000;
+  const AlsPrecomputed plan = precompute_als(g, opts);
+  const gpusim::DeviceSpec& dev = opts.device_spec();
+  const gpusim::Simulator sim(dev);
+  gpusim::DeviceMemory mem(dev);
+  std::size_t truncated = 0;
+  for (std::size_t ci = 0; ci < plan.chunking.chunks.size(); ++ci) {
+    const ChunkWork& work = plan.works[ci];
+    if (work.tests == 0) continue;
+    const ChunkLaunch launch =
+        run_chunk_kernel(g, plan.chunking.chunks[ci], work, sim, mem, opts);
+    const auto [simulated, triangles] = reference_chunk(
+        g, work, opts.threads_per_block, opts.max_simulated_tests_per_chunk);
+    EXPECT_EQ(launch.simulated, simulated) << "chunk " << ci;
+    EXPECT_EQ(launch.triangles, triangles) << "chunk " << ci;
+    if (simulated < work.tests) ++truncated;
+  }
+  EXPECT_GT(truncated, 0u);
+}
+
+TEST(Hybrid, MultiJobChunkMatchesCpuRecount) {
+  const Graph g = graph::layered_random(400, 50, 0.08, 0.04, 4);
+  const HybridOptions opts = exact_opts();
+  const AlsPrecomputed plan = precompute_als(g, opts);
+  const gpusim::DeviceSpec& dev = opts.device_spec();
+  const gpusim::Simulator sim(dev);
+  gpusim::DeviceMemory mem(dev);
+  std::size_t multi_job = 0;
+  for (std::size_t ci = 0; ci < plan.chunking.chunks.size(); ++ci) {
+    const ChunkWork& work = plan.works[ci];
+    if (work.jobs.size() < 2 || work.tests == 0) continue;
+    ++multi_job;
+    const ChunkLaunch launch =
+        run_chunk_kernel(g, plan.chunking.chunks[ci], work, sim, mem, opts);
+    EXPECT_EQ(launch.simulated, work.tests) << "chunk " << ci;
+    EXPECT_EQ(launch.triangles, count_chunk_cpu(g, work)) << "chunk " << ci;
+  }
+  EXPECT_GT(multi_job, 0u);
 }
 
 TEST(Hybrid, ScheduleIsConsistent) {

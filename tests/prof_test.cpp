@@ -343,6 +343,13 @@ TEST(ProfDiff, ExactAndToleranced) {
   prof::DiffOptions ign;
   ign.ignore = {"transactions"};
   EXPECT_TRUE(prof::diff_profile_text(a, b, ign).equal);
+  // Patterns are POSIX extended regexes, as in ci/prom_diff.
+  ign.ignore = {"^lgg_prof_(bytes|transactions)\\{"};
+  EXPECT_TRUE(prof::diff_profile_text(a, b, ign).equal);
+  ign.ignore = {"^transactions"};
+  EXPECT_FALSE(prof::diff_profile_text(a, b, ign).equal);
+  ign.ignore = {"(unclosed"};
+  EXPECT_THROW((void)prof::diff_profile_text(a, b, ign), lgg::Error);
 
   // A key present on only one side always differs, whatever the rtol.
   const std::string c = a + "lgg_prof_extra 1\n";

@@ -197,6 +197,15 @@ TEST(ThreadPool, CoversWholeRangeOnce) {
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
+TEST(ThreadPool, WithWorkersReusesOnePoolPerCount) {
+  ThreadPool& three = ThreadPool::with_workers(3);
+  EXPECT_EQ(three.size(), 3u);
+  EXPECT_EQ(&ThreadPool::with_workers(3), &three);
+  EXPECT_NE(&ThreadPool::with_workers(2), &three);
+  EXPECT_EQ(ThreadPool::with_workers(2).size(), 2u);
+  EXPECT_THROW(ThreadPool::with_workers(0), Error);
+}
+
 TEST(ThreadPool, EmptyRangeIsNoop) {
   ThreadPool pool(2);
   bool called = false;
