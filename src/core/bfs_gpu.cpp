@@ -43,15 +43,8 @@ GpuBfsResult bfs_gpu(const Graph& g, Vertex source,
     driver.arg("source", static_cast<std::uint64_t>(source));
   }
 
-  gpusim::TransferReport transfer;
-  {
-    obs::Scope span(opts.obs, "transfer/h2d", "transfer");
-    transfer = sim.transfer(levels_buf.bytes + offsets_buf.bytes +
-                            adj_buf.bytes);
-    span.model_s(transfer.time_s);
-    if (span) span.arg("bytes", transfer.bytes);
-  }
-  obs::record_transfer(opts.obs, transfer);
+  const gpusim::TransferReport h2d = transfer(
+      opts, sim, levels_buf.bytes + offsets_buf.bytes + adj_buf.bytes);
 
   const auto blocks = static_cast<std::uint32_t>((n + tpb - 1) / tpb);
   auto& tree = result.tree;
@@ -128,7 +121,7 @@ GpuBfsResult bfs_gpu(const Graph& g, Vertex source,
   }
 
   driver.model_s(cal::kDispatchOverheadS + cal::kDeviceInitOverheadS);
-  result.total_time_s = transfer.time_s + cal::kDispatchOverheadS +
+  result.total_time_s = h2d.time_s + cal::kDispatchOverheadS +
                         cal::kDeviceInitOverheadS + result.kernel_time_s;
   return result;
 }

@@ -27,6 +27,20 @@ const char* scheduler_name(SchedulerKind kind) noexcept {
   return "?";
 }
 
+sched::Assignment schedule_chunks(
+    SchedulerKind kind, const std::vector<std::uint64_t>& job_times_ns,
+    std::uint32_t machines) {
+  switch (kind) {
+    case SchedulerKind::kList:
+      return sched::list_schedule(job_times_ns, machines);
+    case SchedulerKind::kLpt:
+      return sched::lpt_schedule(job_times_ns, machines);
+    case SchedulerKind::kMultifit:
+      return sched::multifit_schedule(job_times_ns, machines);
+  }
+  LGG_THROW("unknown scheduler kind " << static_cast<int>(kind));
+}
+
 ChunkWork build_chunk_work(const graph::Chunk& chunk,
                            const graph::LevelDecomposition& levels) {
   ChunkWork work;
@@ -113,33 +127,6 @@ std::vector<std::vector<std::uint32_t>> chunk_positions(
     }
   }
   return positions;
-}
-
-/// Linear rescale of a kernel report by `factor` (> 1 when sampled); the
-/// same transformation count_triangles_gpu applies.
-void rescale(gpusim::KernelReport& k, double factor,
-             const gpusim::DeviceSpec& dev) {
-  if (factor <= 1.0) return;
-  auto scale_u64 = [factor](std::uint64_t v) {
-    return static_cast<std::uint64_t>(static_cast<double>(v) * factor);
-  };
-  k.global_slots = scale_u64(k.global_slots);
-  k.transactions = scale_u64(k.transactions);
-  k.bytes = scale_u64(k.bytes);
-  k.shared_slots = scale_u64(k.shared_slots);
-  k.bank_conflict_steps = scale_u64(k.bank_conflict_steps);
-  k.warp_instructions *= factor;
-  for (auto& c : k.partition_histogram.count) c = scale_u64(c);
-  k.partition_histogram.total = scale_u64(k.partition_histogram.total);
-  k.camping_factor = k.partition_histogram.camping_factor();
-  k.compute_cycles *= factor;
-  k.latency_cycles *= factor;
-  k.dram_cycles *= factor;
-  const double cycles =
-      std::max({k.compute_cycles, k.latency_cycles, k.dram_cycles});
-  k.kernel_time_s =
-      cycles / (dev.core_clock_ghz * 1e9) + cal::kKernelLaunchOverheadS;
-  k.sample_fraction = 1.0 / factor;
 }
 
 }  // namespace
@@ -284,14 +271,11 @@ ChunkLaunch run_chunk_kernel(const graph::Graph& g, const graph::Chunk& chunk,
       out.simulated += warp_simulated[wid];
       out.triangles += warp_found[wid];
     }
-    if (out.simulated < work.tests) {
-      const double f = static_cast<double>(work.tests) /
-                       static_cast<double>(
-                           std::max<std::uint64_t>(out.simulated, 1));
-      rescale(out.report, f, dev);
-      // Keep the recorded profile matching the caller-visible report.
-      if (opts.prof) opts.prof->rescale_last(f);
-    }
+    if (out.simulated < work.tests)
+      rescale(opts, out.report,
+              static_cast<double>(work.tests) /
+                  static_cast<double>(
+                      std::max<std::uint64_t>(out.simulated, 1)));
     // Span duration and counters use the final (post-rescale) report.
     span.model_s(out.report.kernel_time_s);
     if (span) {
@@ -337,24 +321,18 @@ HybridFootprint hybrid_footprint_spec(const graph::Graph& g,
   LGG_CHECK(tpb >= dev.warp_size && tpb % dev.warp_size == 0,
             "threads_per_block must be a positive multiple of the warp size");
 
-  // Replay Algorithm 1's planning exactly as count_triangles_hybrid does.
-  graph::ChunkingOptions copts;
-  copts.shared_mem_bits = dev.shared_mem_bits();
-  copts.metric = opts.metric;
-  const graph::ChunkingResult chunking = graph::split_into_chunks(g, copts);
-  std::vector<graph::LevelDecomposition> levels;
-  levels.reserve(chunking.trees.size());
-  for (const auto& tree : chunking.trees) levels.emplace_back(tree);
+  // The same Algorithm 1 plan count_triangles_hybrid runs on.
+  const AlsPrecomputed plan = precompute_als(g, opts);
 
   HybridFootprint fp;
   fp.sm_count = dev.sm_count;
+  fp.chunk_tests = plan.chunk_tests;
   gpusim::DeviceMemory mem(dev);  // scratch: only the addresses matter
   const std::uint64_t shared_bytes = dev.shared_mem_bits() / 8;
 
-  for (std::size_t ci = 0; ci < chunking.chunks.size(); ++ci) {
-    const graph::Chunk& chunk = chunking.chunks[ci];
-    const ChunkWork work = build_chunk_work(chunk, levels[chunk.component]);
-    fp.chunk_tests.push_back(work.tests);
+  for (std::size_t ci = 0; ci < plan.chunking.chunks.size(); ++ci) {
+    const graph::Chunk& chunk = plan.chunking.chunks[ci];
+    const ChunkWork& work = plan.works[ci];
     if (work.tests == 0) continue;  // never launched, nothing to prove
 
     const std::uint64_t local_n = chunk.vertices.size();
@@ -495,17 +473,7 @@ HybridResult count_triangles_hybrid(const graph::Graph& g,
                         std::string("schedule/") +
                             scheduler_name(opts.scheduler),
                         "schedule");
-  switch (opts.scheduler) {
-    case SchedulerKind::kList:
-      result.schedule = sched::list_schedule(job_times_ns, dev.sm_count);
-      break;
-    case SchedulerKind::kLpt:
-      result.schedule = sched::lpt_schedule(job_times_ns, dev.sm_count);
-      break;
-    case SchedulerKind::kMultifit:
-      result.schedule = sched::multifit_schedule(job_times_ns, dev.sm_count);
-      break;
-  }
+  result.schedule = schedule_chunks(opts.scheduler, job_times_ns, dev.sm_count);
   for (std::size_t ci = 0; ci < result.chunks.size(); ++ci)
     result.chunks[ci].sm = result.schedule.machine_of[ci];
   result.makespan_s = static_cast<double>(result.schedule.makespan) * 1e-9;

@@ -33,6 +33,12 @@ enum class SchedulerKind : int { kList = 0, kLpt = 1, kMultifit = 2 };
 
 [[nodiscard]] const char* scheduler_name(SchedulerKind kind) noexcept;
 
+/// Section VI: schedule chunk jobs of the given modelled durations onto
+/// `machines` identical SMs with the named scheduler.
+[[nodiscard]] sched::Assignment schedule_chunks(
+    SchedulerKind kind, const std::vector<std::uint64_t>& job_times_ns,
+    std::uint32_t machines);
+
 struct AlsPrecomputed;
 
 struct HybridOptions : RunContext {
@@ -170,7 +176,9 @@ struct ChunkSalvage {
 };
 
 /// Launch one chunk's 1-block kernel on `sim`, allocating any
-/// global-resident matrix from `mem`.  Requires work.tests > 0.  Faults
+/// global-resident matrix from `mem`.  `sim` must simulate
+/// opts.device_spec(): a truncated chunk's rescale prices its time on
+/// that device.  Requires work.tests > 0.  Faults
 /// installed on sim/mem surface as gpusim::DeviceFault from here.  When
 /// `salvage` is non-null and the launch dies with an SM abort (and the
 /// chunk is untruncated), the completed warps' outputs are harvested into
@@ -205,9 +213,8 @@ struct HybridFootprint {
   std::uint32_t sm_count = 0;
 };
 
-/// Build the pipeline footprint by replaying the planning half of
-/// count_triangles_hybrid (chunking, level decomposition, per-chunk ALS
-/// work) without launching anything.
+/// Build the pipeline footprint from precompute_als's plan (the planning
+/// half of count_triangles_hybrid) without launching anything.
 HybridFootprint hybrid_footprint_spec(const graph::Graph& g,
                                       const HybridOptions& opts = {});
 

@@ -102,13 +102,7 @@ GpuIntersectResult count_triangles_gpu_intersect(
   const gpusim::Simulator sim(dev, opts.faults);
   obs::Scope driver(opts.obs, "gpu/intersect", "driver");
   if (driver) driver.arg("edges", result.total_edges);
-  {
-    obs::Scope span(opts.obs, "transfer/h2d", "transfer");
-    result.transfer = sim.transfer(result.device_bytes);
-    span.model_s(result.transfer.time_s);
-    if (span) span.arg("bytes", result.transfer.bytes);
-  }
-  obs::record_transfer(opts.obs, result.transfer);
+  result.transfer = transfer(opts, sim, result.device_bytes);
 
   if (oriented.edges.empty()) {
     result.total_time_s = result.transfer.time_s + cal::kDispatchOverheadS +
@@ -203,31 +197,10 @@ GpuIntersectResult count_triangles_gpu_intersect(
   result.triangles = triangles;
   result.exact = simulated_edges == oriented.edges.size();
 
-  if (!result.exact && simulated_work > 0) {
-    const double f = static_cast<double>(total_work) /
-                     static_cast<double>(simulated_work);
-    auto scale_u64 = [f](std::uint64_t x) {
-      return static_cast<std::uint64_t>(static_cast<double>(x) * f);
-    };
-    gpusim::KernelReport& k = result.kernel;
-    k.global_slots = scale_u64(k.global_slots);
-    k.transactions = scale_u64(k.transactions);
-    k.bytes = scale_u64(k.bytes);
-    k.warp_instructions *= f;
-    for (auto& c : k.partition_histogram.count) c = scale_u64(c);
-    k.partition_histogram.total = scale_u64(k.partition_histogram.total);
-    k.camping_factor = k.partition_histogram.camping_factor();
-    k.compute_cycles *= f;
-    k.latency_cycles *= f;
-    k.dram_cycles *= f;
-    const double cycles =
-        std::max({k.compute_cycles, k.latency_cycles, k.dram_cycles});
-    k.kernel_time_s =
-        cycles / (dev.core_clock_ghz * 1e9) + cal::kKernelLaunchOverheadS;
-    k.sample_fraction = 1.0 / f;
-    // Keep the recorded profile matching the caller-visible report.
-    if (opts.prof) opts.prof->rescale_last(f);
-  }
+  if (!result.exact && simulated_work > 0)
+    rescale(opts, result.kernel,
+            static_cast<double>(total_work) /
+                static_cast<double>(simulated_work));
 
   // Span duration and counters use the final (post-rescale) report.
   launch_span.model_s(result.kernel.kernel_time_s);

@@ -5,9 +5,11 @@
 // combinadic k-subgraph kernels — takes an option struct derived from
 // RunContext, and every launch goes through launch() below, so the
 // device default, the sancheck inspector and the profiler are wired in
-// exactly one place.
+// exactly one place.  A driver that samples its launch scales the report
+// with rescale() below, the one copy of that arithmetic.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "gpusim/device.hpp"
@@ -49,5 +51,21 @@ gpusim::KernelReport launch(const RunContext& ctx, const gpusim::Simulator& sim,
                             const gpusim::KernelFn& kernel,
                             const gpusim::KernelConfig& config,
                             std::vector<gpusim::Buffer> staged);
+
+/// Price a host-to-device copy of `bytes` on `sim` (which consults its
+/// fault hook) inside a "transfer/h2d" span, and record it in the
+/// context's obs session.
+gpusim::TransferReport transfer(const RunContext& ctx,
+                                const gpusim::Simulator& sim,
+                                std::uint64_t bytes);
+
+/// Scale a launch's report by `factor` (> 1) to the full launch a
+/// test-sampled or truncated run stands for: every charge grows linearly
+/// with the work, so the counters, the DRAM histogram and the cycle terms
+/// scale together and the kernel time is re-derived from them.  Then
+/// hands the scaled report to the context's profiler (rescale_last), so
+/// the last recorded profile keeps matching what the caller sees.
+void rescale(const RunContext& ctx, gpusim::KernelReport& report,
+             double factor);
 
 }  // namespace lgg::core

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <functional>
 #include <span>
 #include <utility>
 
@@ -131,40 +132,18 @@ bool induced_connected(const Graph& g, std::span<const Vertex> vs) {
   return reached == k;
 }
 
-/// Linear rescale when the candidate budget truncated the simulation.
-void rescale(gpusim::KernelReport& k, double factor,
-             const gpusim::DeviceSpec& dev) {
-  if (factor <= 1.0) return;
-  auto scale_u64 = [factor](std::uint64_t v) {
-    return static_cast<std::uint64_t>(static_cast<double>(v) * factor);
-  };
-  k.global_slots = scale_u64(k.global_slots);
-  k.transactions = scale_u64(k.transactions);
-  k.bytes = scale_u64(k.bytes);
-  k.warp_instructions *= factor;
-  for (auto& c : k.partition_histogram.count) c = scale_u64(c);
-  k.partition_histogram.total = scale_u64(k.partition_histogram.total);
-  k.camping_factor = k.partition_histogram.camping_factor();
-  k.compute_cycles *= factor;
-  k.latency_cycles *= factor;
-  k.dram_cycles *= factor;
-  const double cycles =
-      std::max({k.compute_cycles, k.latency_cycles, k.dram_cycles});
-  k.kernel_time_s =
-      cycles / (dev.core_clock_ghz * 1e9) + cal::kKernelLaunchOverheadS;
-  k.sample_fraction = 1.0 / factor;
-}
-
 /// Shared implementation: enumerate window candidates on the simulator,
 /// probing all C(k,2) pairs; `accept(candidate, global_warp)` decides
 /// whether a candidate counts.  The simulator replays warps concurrently,
 /// so accept hooks must only read shared state and write to per-warp
-/// slots indexed by the passed warp id.
+/// slots indexed by the passed warp id.  `charge`, when set, adds
+/// analytic post-launch traffic to the (rescaled) report before anything
+/// reads it.
 template <typename Accept>
-GpuKCountResult run_kcount(const Graph& g, std::uint32_t k,
-                           std::uint32_t window_levels,
-                           const GpuKCountOptions& opts,
-                           const Accept& accept) {
+GpuKCountResult run_kcount(
+    const Graph& g, std::uint32_t k, std::uint32_t window_levels,
+    const GpuKCountOptions& opts, const Accept& accept,
+    const std::function<void(gpusim::KernelReport&)>& charge = nullptr) {
   LGG_CHECK(k >= 1 && k <= 16, "GPU k-count supports 1 <= k <= 16");
   const gpusim::DeviceSpec& dev = opts.device_spec();
   const std::uint32_t blocks = opts.blocks ? opts.blocks : 2 * dev.sm_count;
@@ -190,17 +169,14 @@ GpuKCountResult run_kcount(const Graph& g, std::uint32_t k,
     driver.arg("k", static_cast<std::uint64_t>(k));
     driver.arg("total_tests", total);
   }
-  {
-    obs::Scope span(opts.obs, "transfer/h2d", "transfer");
-    result.transfer = sim.transfer(matrix.bytes);
-    span.model_s(result.transfer.time_s);
-    if (span) span.arg("bytes", result.transfer.bytes);
-  }
-  obs::record_transfer(opts.obs, result.transfer);
+  result.transfer = transfer(opts, sim, matrix.bytes);
 
   if (total == 0) {
+    // Nothing launches, but the caller's charge still prices its report.
+    if (charge) charge(result.kernel);
     result.total_time_s = result.transfer.time_s + cal::kDispatchOverheadS +
-                          cal::kDeviceInitOverheadS;
+                          cal::kDeviceInitOverheadS +
+                          result.kernel.kernel_time_s;
     driver.model_s(cal::kDispatchOverheadS + cal::kDeviceInitOverheadS);
     return result;
   }
@@ -274,12 +250,14 @@ GpuKCountResult run_kcount(const Graph& g, std::uint32_t k,
     result.simulated_tests = simulated;
     result.count = found;
     result.exact = simulated == total;
-    if (!result.exact && simulated > 0) {
-      const double f =
-          static_cast<double>(total) / static_cast<double>(simulated);
-      rescale(result.kernel, f, dev);
-      // Keep the recorded profile matching the caller-visible report.
-      if (opts.prof) opts.prof->rescale_last(f);
+    if (!result.exact && simulated > 0)
+      rescale(opts, result.kernel,
+              static_cast<double>(total) / static_cast<double>(simulated));
+    // Post-launch analytic charges (the listing's appends) land before
+    // the span, the counters and the profile read the report.
+    if (charge) {
+      charge(result.kernel);
+      if (opts.prof != nullptr) opts.prof->rescale_last(1.0, result.kernel);
     }
 
     // Span duration and counters use the final (post-rescale) report.
@@ -367,9 +345,6 @@ GpuTriangleListing list_triangles_gpu(const Graph& g,
                                       const GpuKCountOptions& opts) {
   const gpusim::DeviceSpec& dev = opts.device_spec();
 
-  GpuTriangleListing listing;
-  std::vector<std::array<Vertex, 3>> out;
-
   // Reuse the k-count machinery with k = 3 and an accept hook that also
   // records the output write traffic.  The output buffer is allocated
   // address space only; appends go to consecutive 12-byte slots, which
@@ -383,76 +358,69 @@ GpuTriangleListing list_triangles_gpu(const Graph& g,
   (void)scratch.alloc(std::max<std::uint64_t>(n * row_bytes, 4));
   const gpusim::Buffer out_buffer = scratch.alloc(out_capacity);
 
-  GpuKCountOptions inner = opts;
-  GpuKCountResult base;
-  {
-    // The accept hook needs per-thread recorders; easiest faithful
-    // approach: run the counting kernel, then account the output writes
-    // analytically (3 coalesced 4-byte writes per found triangle; one
-    // 64-byte transaction per half-warp-worth of finds).
-    //
-    // The hook appends into a per-warp listing slot (warps replay
-    // concurrently); the slots are concatenated in warp order below,
-    // which reproduces the serial append order exactly.
-    const std::uint32_t list_blocks =
-        inner.blocks ? inner.blocks : 2 * dev.sm_count;
-    const std::uint64_t list_warps =
-        static_cast<std::uint64_t>(list_blocks) * inner.threads_per_block /
-        dev.warp_size;
-    std::vector<std::vector<std::array<Vertex, 3>>> warp_out(list_warps);
-    base = run_kcount(
-        g, 3, 2, inner,
-        [&](std::span<const Vertex> vs, std::uint64_t global_warp) {
-          if (g.has_edge(vs[0], vs[1]) && g.has_edge(vs[1], vs[2]) &&
-              g.has_edge(vs[0], vs[2])) {
-            std::array<Vertex, 3> tri{vs[0], vs[1], vs[2]};
-            std::sort(tri.begin(), tri.end());
-            warp_out[global_warp].push_back(tri);
-            return true;
-          }
-          return false;
-        });
-    for (const auto& w : warp_out)
-      out.insert(out.end(), w.begin(), w.end());
-  }
+  // The accept hook needs per-thread recorders; easiest faithful
+  // approach: run the counting kernel, then account the output writes
+  // analytically (3 coalesced 4-byte writes per found triangle; one
+  // 64-byte transaction per half-warp-worth of finds).
+  //
+  // The hook appends into a per-warp listing slot (warps replay
+  // concurrently); the slots are concatenated in warp order below,
+  // which reproduces the serial append order exactly.
+  const std::uint32_t list_blocks =
+      opts.blocks ? opts.blocks : 2 * dev.sm_count;
+  const std::uint64_t list_warps = static_cast<std::uint64_t>(list_blocks) *
+                                   opts.threads_per_block / dev.warp_size;
+  std::vector<std::vector<std::array<Vertex, 3>>> warp_out(list_warps);
+  std::uint64_t output_bytes = 0;
+  const auto accept = [&](std::span<const Vertex> vs,
+                          std::uint64_t global_warp) {
+    if (g.has_edge(vs[0], vs[1]) && g.has_edge(vs[1], vs[2]) &&
+        g.has_edge(vs[0], vs[2])) {
+      std::array<Vertex, 3> tri{vs[0], vs[1], vs[2]};
+      std::sort(tri.begin(), tri.end());
+      warp_out[global_warp].push_back(tri);
+      return true;
+    }
+    return false;
+  };
+  // Charge the append traffic: 12 bytes per triangle, written through
+  // 64-byte coalesced transactions, then re-price the DRAM term.
+  const auto charge_appends = [&](gpusim::KernelReport& k) {
+    for (const auto& w : warp_out) output_bytes += w.size() * 12;
+    LGG_CHECK(output_bytes <= out_capacity,
+              "triangle listing exceeds the 64 MiB output buffer");
+    const std::uint64_t extra_txns = (output_bytes + 63) / 64;
+    k.transactions += extra_txns;
+    k.bytes += output_bytes;
+    const gpusim::PartitionModel pm(dev);
+    for (std::uint64_t t = 0; t < extra_txns; ++t)
+      k.partition_histogram.add(pm, out_buffer.base + t * 64);
+    k.camping_factor = k.partition_histogram.camping_factor();
+    const std::uint64_t dram_steps =
+        dev.has_cached_global() ? k.partition_histogram.ideal_steps()
+                                : k.partition_histogram.serialized_steps();
+    k.dram_cycles =
+        static_cast<double>(dram_steps) * cal::kTransactionServiceCycles;
+    const double cycles =
+        std::max({k.compute_cycles, k.latency_cycles, k.dram_cycles});
+    k.kernel_time_s =
+        cycles / (dev.core_clock_ghz * 1e9) + cal::kKernelLaunchOverheadS;
+  };
+  const GpuKCountResult base =
+      run_kcount(g, 3, 2, opts, accept, charge_appends);
 
+  GpuTriangleListing listing;
   listing.exact = base.exact;
   listing.total_tests = base.total_tests;
   listing.transfer = base.transfer;
   listing.kernel = base.kernel;
-  listing.output_bytes = static_cast<std::uint64_t>(out.size()) * 12;
-  LGG_CHECK(listing.output_bytes <= out_capacity,
-            "triangle listing exceeds the 64 MiB output buffer");
-
-  // Charge the append traffic: 12 bytes per triangle, written through
-  // 64-byte coalesced transactions.
-  const std::uint64_t extra_txns = (listing.output_bytes + 63) / 64;
-  listing.kernel.transactions += extra_txns;
-  listing.kernel.bytes += listing.output_bytes;
-  const gpusim::PartitionModel pm(dev);
-  for (std::uint64_t t = 0; t < extra_txns; ++t)
-    listing.kernel.partition_histogram.add(pm, out_buffer.base + t * 64);
-  listing.kernel.camping_factor =
-      listing.kernel.partition_histogram.camping_factor();
-  const std::uint64_t dram_steps =
-      dev.has_cached_global()
-          ? listing.kernel.partition_histogram.ideal_steps()
-          : listing.kernel.partition_histogram.serialized_steps();
-  listing.kernel.dram_cycles =
-      static_cast<double>(dram_steps) * cal::kTransactionServiceCycles;
-  const double cycles =
-      std::max({listing.kernel.compute_cycles, listing.kernel.latency_cycles,
-                listing.kernel.dram_cycles});
-  listing.kernel.kernel_time_s =
-      cycles / (dev.core_clock_ghz * 1e9) + cal::kKernelLaunchOverheadS;
-
+  listing.output_bytes = output_bytes;
+  listing.total_time_s = base.total_time_s;
   if (base.exact) {
-    std::sort(out.begin(), out.end());
-    listing.triangles = std::move(out);
+    for (const auto& w : warp_out)
+      listing.triangles.insert(listing.triangles.end(), w.begin(), w.end());
+    std::sort(listing.triangles.begin(), listing.triangles.end());
   }
-  listing.total_time_s = listing.transfer.time_s + cal::kDispatchOverheadS +
-                         cal::kDeviceInitOverheadS +
-                         listing.kernel.kernel_time_s;
   return listing;
 }
 

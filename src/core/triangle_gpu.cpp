@@ -125,13 +125,7 @@ GpuTriangleResult count_triangles_gpu(const graph::Graph& g,
   result.device_bytes = layout.total_bytes;
 
   const gpusim::Simulator sim(dev, opts.faults);
-  {
-    obs::Scope span(opts.obs, "transfer/h2d", "transfer");
-    result.transfer = sim.transfer(layout.total_bytes);
-    span.model_s(result.transfer.time_s);
-    if (span) span.arg("bytes", result.transfer.bytes);
-  }
-  obs::record_transfer(opts.obs, result.transfer);
+  result.transfer = transfer(opts, sim, layout.total_bytes);
   if (opts.obs != nullptr) {
     const gpusim::OccupancyResult occ = gpusim::occupancy(dev, {tpb});
     obs::record_occupancy(opts.obs, occ.occupancy);
@@ -264,36 +258,11 @@ GpuTriangleResult count_triangles_gpu(const graph::Graph& g,
     result.triangles = triangles;
     result.exact = simulated == plan.total_tests;
 
-    // Rescale traffic/timing when the budget truncated the simulation:
-    // every charge scales linearly with the number of tests, so the cycle
-    // terms and the DRAM histogram scale by the same factor.
-    if (!result.exact && simulated > 0) {
-      const double f = static_cast<double>(plan.total_tests) /
-                       static_cast<double>(simulated);
-      auto scale_u64 = [f](std::uint64_t v) {
-        return static_cast<std::uint64_t>(static_cast<double>(v) * f);
-      };
-      gpusim::KernelReport& k = result.kernel;
-      k.global_slots = scale_u64(k.global_slots);
-      k.transactions = scale_u64(k.transactions);
-      k.bytes = scale_u64(k.bytes);
-      k.shared_slots = scale_u64(k.shared_slots);
-      k.bank_conflict_steps = scale_u64(k.bank_conflict_steps);
-      k.warp_instructions *= f;
-      for (auto& c : k.partition_histogram.count) c = scale_u64(c);
-      k.partition_histogram.total = scale_u64(k.partition_histogram.total);
-      k.camping_factor = k.partition_histogram.camping_factor();
-      k.compute_cycles *= f;
-      k.latency_cycles *= f;
-      k.dram_cycles *= f;
-      const double cycles =
-          std::max({k.compute_cycles, k.latency_cycles, k.dram_cycles});
-      k.kernel_time_s =
-          cycles / (dev.core_clock_ghz * 1e9) + cal::kKernelLaunchOverheadS;
-      k.sample_fraction = 1.0 / f;
-      // Keep the recorded profile matching the caller-visible report.
-      if (opts.prof) opts.prof->rescale_last(f);
-    }
+    // Rescale traffic/timing when the budget truncated the simulation.
+    if (!result.exact && simulated > 0)
+      rescale(opts, result.kernel,
+              static_cast<double>(plan.total_tests) /
+                  static_cast<double>(simulated));
 
     // Span duration and counters use the FINAL (post-rescale) report so
     // the exported metrics match the KernelReport the caller sees.

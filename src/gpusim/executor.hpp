@@ -24,11 +24,9 @@
 //                   camping neutralised by the cache — paper Section X)
 //   kernel  = max(max_sm sm_time, dram) / clock + launch overhead
 //
-// Sampling: run(..., sample_stride = k) simulates every k-th warp fully
-// and scales all aggregate statistics by k.  Timing keeps the same model;
-// the triangle-count style *functional* result of skipped warps is NOT
-// produced, so sampled runs are for timing studies only (the benches pair
-// them with an exact host-side count).
+// Sampling is the drivers' business: a test-sampled launch simulates a
+// prefix of each thread's work, and the driver scales the returned report
+// to the full launch with core::rescale (DESIGN.md §18).
 //
 // Host-side parallel execution (DESIGN.md §8)
 // -------------------------------------------
@@ -36,10 +34,10 @@
 // launch across host threads: shard s owns every block mapped to SM s and
 // replays its warps in increasing warp order into private accumulators.
 // Shards are merged in fixed SM order, so the returned KernelReport is
-// bit-identical regardless of host thread count (including serial and
-// including sample_stride > 1): the shard decomposition — and therefore
-// every floating-point summation order — depends only on the launch
-// configuration, never on the worker count.
+// bit-identical regardless of host thread count (including serial): the
+// shard decomposition — and therefore every floating-point summation
+// order — depends only on the launch configuration, never on the worker
+// count.
 //
 // Thread-safety contract for kernels: run() may invoke the kernel
 // concurrently from multiple host threads, one warp at a time per thread
@@ -169,8 +167,6 @@ class ThreadRecorder {
   void shared_read(std::uint64_t addr) {
     shared_.push_back({addr, epoch_, AccessKind::kRead});
   }
-  /// Back-compat alias: an unannotated shared access is a read.
-  void shared_access(std::uint64_t addr) { shared_read(addr); }
   /// Record a shared-memory write at byte address `addr`.
   void shared_write(std::uint64_t addr) {
     shared_.push_back({addr, epoch_, AccessKind::kWrite});
@@ -251,8 +247,8 @@ struct SmCounters {
 /// Modelled hardware counters for one launch, harvested alongside the
 /// KernelReport when a ProfilerHook is attached.  Accumulated per shard
 /// during the replay and merged in fixed SM order, so every field is
-/// bit-identical across ExecPolicies.  Invariants (also after sampling
-/// rescale, which scales both sides by the same integer factor):
+/// bit-identical across ExecPolicies.  Invariants (also after a driver's
+/// sampling rescale; see ProfilerHook::rescale_last):
 ///   coalesced_transactions + uncoalesced_transactions == transactions
 ///   coalesced_slots + uncoalesced_slots == global_slots
 ///   ideal_transactions + memory_replays == transactions
@@ -291,10 +287,12 @@ class ProfilerHook {
   virtual void on_launch(const KernelConfig& config, const DeviceSpec& dev,
                          const LaunchCounters& counters,
                          const KernelReport& report) = 0;
-  /// Drivers that rescale the returned KernelReport after the launch
-  /// (test sampling, chunk truncation) call this with the same factor so
-  /// the recorded profile keeps matching the caller-visible report.
-  virtual void rescale_last(double factor) = 0;
+  /// Drivers that change the returned KernelReport after the launch call
+  /// this with the final report (core::rescale for test sampling and
+  /// chunk truncation, with the factor it scaled by; the triangle listing
+  /// with factor 1 after charging its appends), so the last recorded
+  /// profile keeps matching the caller-visible report.
+  virtual void rescale_last(double factor, const KernelReport& report) = 0;
 };
 
 class Simulator {
@@ -309,19 +307,17 @@ class Simulator {
 
   [[nodiscard]] const DeviceSpec& spec() const noexcept { return *spec_; }
 
-  /// Simulate one kernel launch.  sample_stride == 1 runs every warp
-  /// (functional + timing); k > 1 runs every k-th warp and scales the
-  /// statistics (timing only).  The policy selects serial or multi-thread
-  /// host execution; the report is bit-identical either way (see the
-  /// header comment), but the kernel must honour the thread-safety
-  /// contract unless ExecPolicy::serial() is passed.  A non-null
-  /// `inspector` makes the run retain every simulated thread's tape and
-  /// invokes the hook after the merge (sancheck wiring; see
-  /// LaunchInspector).  A non-null `profiler` additionally harvests the
-  /// LaunchCounters and receives them (host-serially) with the finished
-  /// report (lgg_prof wiring; see ProfilerHook).
+  /// Simulate one kernel launch: every warp runs (functional + timing).
+  /// The policy selects serial or multi-thread host execution; the report
+  /// is bit-identical either way (see the header comment), but the kernel
+  /// must honour the thread-safety contract unless ExecPolicy::serial()
+  /// is passed.  A non-null `inspector` makes the run retain every
+  /// simulated thread's tape and invokes the hook after the merge
+  /// (sancheck wiring; see LaunchInspector).  A non-null `profiler`
+  /// additionally harvests the LaunchCounters and receives them
+  /// (host-serially) with the finished report (lgg_prof wiring; see
+  /// ProfilerHook).
   KernelReport run(const KernelFn& kernel, const KernelConfig& config,
-                   std::uint32_t sample_stride = 1,
                    const ExecPolicy& policy = {},
                    const LaunchInspector* inspector = nullptr,
                    ProfilerHook* profiler = nullptr) const;

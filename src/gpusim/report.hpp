@@ -92,7 +92,8 @@ struct KernelReport {
   double dram_cycles = 0.0;      // partition-queueing DRAM bound
   double kernel_time_s = 0.0;    // max of the three, plus launch overhead
 
-  /// 1/sample_stride when the run was sampled; 1.0 for exact simulation.
+  /// Share of the launch's work actually simulated: 1.0 for an exact
+  /// launch, 1/factor after a driver's core::rescale.
   double sample_fraction = 1.0;
 
   // -- sancheck --

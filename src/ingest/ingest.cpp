@@ -512,7 +512,7 @@ graph::Graph build_csr_impl(std::size_t n, std::span<const Edge> edges,
   if (pool == nullptr)
     dedup_buckets(0, n);
   else
-    pool->parallel_for_dynamic(n, dedup_buckets, 64, 16);
+    pool->parallel_for(n, dedup_buckets, 64, 16);
   std::uint64_t kept_total = 0;
   for (std::size_t u = 0; u < n; ++u) kept_total += kept[u];
   if (stats != nullptr)
@@ -561,7 +561,7 @@ graph::Graph build_csr_impl(std::size_t n, std::span<const Edge> edges,
   if (pool == nullptr)
     sort_vertices(0, n);
   else
-    pool->parallel_for_dynamic(n, sort_vertices, 64, 16);
+    pool->parallel_for(n, sort_vertices, 64, 16);
 
   return graph::Graph::from_csr(n, std::move(offsets), std::move(adjacency));
 }

@@ -25,7 +25,7 @@ void over_vertices(ThreadPool* pool, std::size_t n, const Fn& fn) {
   }
   // Dynamic claiming: per-vertex cost follows the (skewed) degree
   // distribution.
-  pool->parallel_for_dynamic(n, fn, 64, 16);
+  pool->parallel_for(n, fn, 64, 16);
 }
 
 }  // namespace

@@ -58,7 +58,6 @@
 #include "graph/bit_matrix.hpp"      // IWYU pragma: export
 #include "graph/chunking.hpp"        // IWYU pragma: export
 #include "graph/digest.hpp"          // IWYU pragma: export
-#include "graph/formats.hpp"         // IWYU pragma: export
 #include "graph/generators.hpp"      // IWYU pragma: export
 #include "graph/graph.hpp"           // IWYU pragma: export
 #include "graph/io.hpp"              // IWYU pragma: export

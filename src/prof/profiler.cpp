@@ -6,13 +6,9 @@
 #include <map>
 #include <sstream>
 
-#include "gpusim/calibration.hpp"
-#include "gpusim/partition.hpp"
 #include "obs/trace.hpp"
 
 namespace lgg::prof {
-
-namespace cal = gpusim::calibration;
 
 namespace {
 
@@ -24,6 +20,28 @@ std::string micros(std::uint64_t ns) {
                 static_cast<unsigned long long>(ns / 1000),
                 static_cast<unsigned long long>(ns % 1000));
   return buf;
+}
+
+/// The launch-level fields a profile shares with its KernelReport.
+void copy_report_fields(KernelProfile& p, const gpusim::KernelReport& report) {
+  p.sample_fraction = report.sample_fraction;
+  p.global_slots = report.global_slots;
+  p.transactions = report.transactions;
+  p.bytes = report.bytes;
+  p.shared_slots = report.shared_slots;
+  p.bank_conflict_steps = report.bank_conflict_steps;
+  p.warp_instructions = report.warp_instructions;
+
+  p.partition_pressure = report.partition_histogram.count;
+  p.partition_total = report.partition_histogram.total;
+  p.partition_serialized_steps = report.partition_histogram.serialized_steps();
+  p.partition_ideal_steps = report.partition_histogram.ideal_steps();
+  p.camping_factor = report.camping_factor;
+
+  p.compute_cycles = report.compute_cycles;
+  p.latency_cycles = report.latency_cycles;
+  p.dram_cycles = report.dram_cycles;
+  p.kernel_time_s = report.kernel_time_s;
 }
 
 }  // namespace
@@ -43,34 +61,17 @@ void Profiler::on_launch(const gpusim::KernelConfig& config,
   p.blocks = config.blocks;
   p.threads_per_block = config.threads_per_block;
   p.warps = report.warps;
-  p.sample_fraction = report.sample_fraction;
+  copy_report_fields(p, report);
 
-  p.global_slots = report.global_slots;
   p.coalesced_slots = counters.coalesced_slots;
   p.uncoalesced_slots = counters.uncoalesced_slots;
-  p.transactions = report.transactions;
   p.coalesced_transactions = counters.coalesced_transactions;
   p.uncoalesced_transactions = counters.uncoalesced_transactions;
   p.ideal_transactions = counters.ideal_transactions;
   p.memory_replays = counters.memory_replays;
-  p.bytes = report.bytes;
-  p.shared_slots = report.shared_slots;
   p.shared_accesses = counters.shared_accesses;
-  p.bank_conflict_steps = report.bank_conflict_steps;
   p.shared_replays = counters.shared_replays;
   p.divergent_warps = counters.divergent_warps;
-  p.warp_instructions = report.warp_instructions;
-
-  p.partition_pressure = report.partition_histogram.count;
-  p.partition_total = report.partition_histogram.total;
-  p.partition_serialized_steps = report.partition_histogram.serialized_steps();
-  p.partition_ideal_steps = report.partition_histogram.ideal_steps();
-  p.camping_factor = report.camping_factor;
-
-  p.compute_cycles = report.compute_cycles;
-  p.latency_cycles = report.latency_cycles;
-  p.dram_cycles = report.dram_cycles;
-  p.kernel_time_s = report.kernel_time_s;
 
   p.device = dev.name;
   p.cc = gpusim::to_string(dev.cc);
@@ -85,58 +86,31 @@ void Profiler::on_launch(const gpusim::KernelConfig& config,
   profiles_.push_back(std::move(p));
 }
 
-void Profiler::rescale_last(double factor) {
-  if (factor <= 1.0 || profiles_.empty()) return;
+void Profiler::rescale_last(double factor,
+                            const gpusim::KernelReport& report) {
+  if (profiles_.empty()) return;
   KernelProfile& p = profiles_.back();
   const auto scale_u64 = [factor](std::uint64_t v) {
     return static_cast<std::uint64_t>(static_cast<double>(v) * factor);
   };
-  // Scale the totals the way the drivers scale the KernelReport, then
-  // re-derive each complement from its total — scaling both halves
-  // independently would break the coalesced + uncoalesced == total
-  // invariant by a rounding unit.
-  p.global_slots = scale_u64(p.global_slots);
-  p.coalesced_slots = std::min(scale_u64(p.coalesced_slots), p.global_slots);
-  p.uncoalesced_slots = p.global_slots - p.coalesced_slots;
-  p.transactions = scale_u64(p.transactions);
-  p.coalesced_transactions =
-      std::min(scale_u64(p.coalesced_transactions), p.transactions);
-  p.uncoalesced_transactions = p.transactions - p.coalesced_transactions;
-  p.ideal_transactions = scale_u64(p.ideal_transactions);
-  p.bytes = scale_u64(p.bytes);
-  p.shared_slots = scale_u64(p.shared_slots);
+  // Transactions the driver charged on top of the scaled launch (the
+  // triangle listing's appends): analytic writes at the CC-minimal count.
+  const std::uint64_t scaled_transactions = scale_u64(p.transactions);
+  const std::uint64_t charged =
+      report.transactions - std::min(scaled_transactions, report.transactions);
+
+  // The splits the report lacks scale by `factor`; each complement is
+  // re-derived from the report's total, so coalesced + uncoalesced ==
+  // total survives the rounding.
+  p.coalesced_slots =
+      std::min(scale_u64(p.coalesced_slots), report.global_slots);
+  p.uncoalesced_slots = report.global_slots - p.coalesced_slots;
+  p.coalesced_transactions = std::min(
+      scale_u64(p.coalesced_transactions) + charged, report.transactions);
+  p.uncoalesced_transactions = report.transactions - p.coalesced_transactions;
+  p.ideal_transactions = scale_u64(p.ideal_transactions) + charged;
   p.shared_accesses = scale_u64(p.shared_accesses);
-  p.bank_conflict_steps = scale_u64(p.bank_conflict_steps);
   p.divergent_warps = scale_u64(p.divergent_warps);
-  p.warp_instructions *= factor;
-
-  // The same histogram transformation as the drivers: scale the counts
-  // and the total independently, then re-derive the step/factor metrics.
-  gpusim::PartitionHistogram hist;
-  hist.count = p.partition_pressure;
-  for (auto& c : hist.count) c = scale_u64(c);
-  hist.total = scale_u64(p.partition_total);
-  p.partition_pressure = hist.count;
-  p.partition_total = hist.total;
-  p.partition_serialized_steps = hist.serialized_steps();
-  p.partition_ideal_steps = hist.ideal_steps();
-  p.camping_factor = hist.camping_factor();
-
-  p.memory_replays =
-      p.transactions - std::min(p.ideal_transactions, p.transactions);
-  p.shared_replays =
-      p.bank_conflict_steps -
-      std::min(p.shared_accesses, p.bank_conflict_steps);
-
-  p.compute_cycles *= factor;
-  p.latency_cycles *= factor;
-  p.dram_cycles *= factor;
-  const double cycles =
-      std::max({p.compute_cycles, p.latency_cycles, p.dram_cycles});
-  p.kernel_time_s =
-      cycles / (p.core_clock_ghz * 1e9) + cal::kKernelLaunchOverheadS;
-  p.sample_fraction /= factor;
-
   for (gpusim::SmCounters& c : p.sms) {
     c.warps = scale_u64(c.warps);
     c.global_slots = scale_u64(c.global_slots);
@@ -147,6 +121,13 @@ void Profiler::rescale_last(double factor) {
     c.latency_cycles *= factor;
     c.busy_cycles *= factor;
   }
+  // Everything the report carries is copied from it.
+  copy_report_fields(p, report);
+  p.memory_replays =
+      p.transactions - std::min(p.ideal_transactions, p.transactions);
+  p.shared_replays =
+      p.bank_conflict_steps -
+      std::min(p.shared_accesses, p.bank_conflict_steps);
   p.finalize();
 }
 

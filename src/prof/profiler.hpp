@@ -43,11 +43,15 @@ class Profiler final : public gpusim::ProfilerHook {
                  const gpusim::LaunchCounters& counters,
                  const gpusim::KernelReport& report) override;
 
-  /// Mirror of the drivers' post-launch KernelReport rescale (test
-  /// sampling, hybrid chunk truncation): scales the last recorded
-  /// profile by `factor` with the same transformation, so the profile
-  /// keeps matching the caller-visible report.  No-op for factor <= 1.
-  void rescale_last(double factor) override;
+  /// Follows a driver's post-launch change to the last launch's report
+  /// (core::rescale's test-sampling and chunk-truncation scale, the
+  /// triangle listing's append charge): copies every field the report
+  /// carries from `report`, and scales by `factor` only what the report
+  /// lacks (the coalesced/ideal/shared-access/divergent splits and the
+  /// per-SM rows).  Transactions in `report` beyond the scaled launch
+  /// count as coalesced at the CC-minimal count.
+  void rescale_last(double factor,
+                    const gpusim::KernelReport& report) override;
 
   [[nodiscard]] const std::vector<KernelProfile>& profiles() const noexcept {
     return profiles_;

@@ -346,13 +346,8 @@ RunnerReport run_impl(const graph::Graph& g, const RunnerOptions& opts,
         core::ChunkSalvage salv;
         bool attempt_corrupted = false;
         try {
-          obs::Scope transfer_span(opts.obs, "transfer/h2d", "transfer");
           const gpusim::TransferReport tr =
-              sim.transfer(core::chunk_device_bytes(chunk));
-          transfer_span.model_s(tr.time_s);
-          if (transfer_span) transfer_span.arg("bytes", tr.bytes);
-          transfer_span.close();
-          obs::record_transfer(opts.obs, tr);
+              core::transfer(opts, sim, core::chunk_device_bytes(chunk));
           report.device.host_to_device.bytes += tr.bytes;
           report.device.host_to_device.time_s += tr.time_s;
           attempt_corrupted = tr.corrupted;
@@ -593,17 +588,8 @@ RunnerReport run_impl(const graph::Graph& g, const RunnerOptions& opts,
                         std::string("schedule/") +
                             core::scheduler_name(opts.scheduler),
                         "schedule");
-  switch (opts.scheduler) {
-    case core::SchedulerKind::kList:
-      report.schedule = sched::list_schedule(job_times_ns, dev.sm_count);
-      break;
-    case core::SchedulerKind::kLpt:
-      report.schedule = sched::lpt_schedule(job_times_ns, dev.sm_count);
-      break;
-    case core::SchedulerKind::kMultifit:
-      report.schedule = sched::multifit_schedule(job_times_ns, dev.sm_count);
-      break;
-  }
+  report.schedule =
+      core::schedule_chunks(opts.scheduler, job_times_ns, dev.sm_count);
   for (std::uint32_t s = 0; s < dev.sm_count; ++s)
     if (sm_lost[s] != 0) report.lost_sms.push_back(s);
   if (!report.lost_sms.empty() &&

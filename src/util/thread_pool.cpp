@@ -104,54 +104,15 @@ class Batch {
 
 void ThreadPool::parallel_for(
     std::size_t n, const std::function<void(std::size_t, std::size_t)>& fn,
-    std::size_t grain) {
-  if (n == 0) return;
-  if (grain == 0) grain = 1;
-  // Chunk count: never more than one per executor (workers + the calling
-  // thread), never so many that a chunk drops below `grain` elements.
-  // chunks <= n / grain <= n guarantees every chunk is non-empty.
-  const std::size_t max_chunks = std::max<std::size_t>(1, n / grain);
-  const std::size_t chunks = std::min(workers_.size() + 1, max_chunks);
-  if (chunks <= 1) {
-    fn(0, n);
-    return;
-  }
-
-  Batch batch(chunks - 1);
-  const std::size_t base = n / chunks;
-  const std::size_t extra = n % chunks;
-  // Chunk 0 runs inline on the calling thread below; chunks 1..C-1 go to
-  // the queue first so workers start while the caller computes its share.
-  std::size_t begin = base + (0 < extra ? 1 : 0);
-  for (std::size_t c = 1; c < chunks; ++c) {
-    const std::size_t len = base + (c < extra ? 1 : 0);
-    const std::size_t end = begin + len;
-    auto task = [&batch, &fn, begin, end] {
-      batch.run(fn, begin, end);
-      batch.arrive();
-    };
-    {
-      const std::lock_guard lock(mutex_);
-      tasks_.emplace(std::move(task));
-    }
-    begin = end;
-  }
-  cv_.notify_all();
-
-  batch.run(fn, 0, base + (0 < extra ? 1 : 0));
-  batch.wait();
-}
-
-void ThreadPool::parallel_for_dynamic(
-    std::size_t n, const std::function<void(std::size_t, std::size_t)>& fn,
     std::size_t grain, std::size_t chunks_per_worker) {
   if (n == 0) return;
   if (grain == 0) grain = 1;
   if (chunks_per_worker == 0) chunks_per_worker = 1;
+  // chunks <= n / grain <= n guarantees every chunk is non-empty.
   const std::size_t executors = workers_.size() + 1;
   const std::size_t max_chunks = std::max<std::size_t>(1, n / grain);
   const std::size_t chunks = std::min(executors * chunks_per_worker, max_chunks);
-  if (chunks <= 1 || workers_.empty()) {
+  if (chunks <= 1) {
     fn(0, n);
     return;
   }

@@ -41,28 +41,23 @@ class ThreadPool {
   /// callers asking for a fixed worker count pay thread creation once.
   static ThreadPool& with_workers(std::size_t threads);
 
-  /// Runs fn(chunk_begin, chunk_end) over [0, n) split into roughly equal
-  /// contiguous chunks and waits for completion.  At most one chunk per
-  /// worker plus one executed inline on the calling thread; every chunk is
-  /// non-empty, and when n >= grain every chunk holds at least `grain`
-  /// elements (so tiny ranges produce few tasks instead of many empty or
-  /// one-element ones).  Exceptions thrown by fn propagate to the caller
-  /// (first one wins); the full range is still joined before rethrowing.
+  /// Runs fn(chunk_begin, chunk_end) over [0, n) and waits for completion.
+  /// [0, n) is split into balanced contiguous chunks, up to
+  /// `chunks_per_worker` per executor (the workers plus the calling
+  /// thread), and the executors claim chunks from a shared cursor.  Every
+  /// chunk is non-empty, and when n >= grain every chunk holds at least
+  /// `grain` elements (so tiny ranges produce few tasks instead of many
+  /// one-element ones).  More than one chunk per worker rebalances badly
+  /// skewed per-element cost (per-vertex adjacency sorts on power-law
+  /// graphs), where one static chunk per executor strands the heavy chunk.
+  /// The chunk boundaries depend only on (n, grain, chunks_per_worker,
+  /// pool size), never on claim order, so callers writing to disjoint
+  /// ranges stay deterministic.  Exceptions thrown by fn propagate to the
+  /// caller (first one wins); the full range is still joined before
+  /// rethrowing.
   void parallel_for(std::size_t n,
                     const std::function<void(std::size_t, std::size_t)>& fn,
-                    std::size_t grain = 1);
-
-  /// Like parallel_for, but splits [0, n) into up to `chunks_per_worker`
-  /// chunks per executor and lets workers claim them from a shared atomic
-  /// cursor.  Use when per-element cost is badly skewed (per-vertex
-  /// adjacency sorts on power-law graphs): static chunking strands the
-  /// heavy chunk on one worker, dynamic claiming rebalances.  The chunk
-  /// boundaries depend only on (n, grain, chunks_per_worker, pool size),
-  /// never on claim order, so callers writing to disjoint ranges stay
-  /// deterministic.  Exception semantics match parallel_for.
-  void parallel_for_dynamic(
-      std::size_t n, const std::function<void(std::size_t, std::size_t)>& fn,
-      std::size_t grain = 1, std::size_t chunks_per_worker = 8);
+                    std::size_t grain = 1, std::size_t chunks_per_worker = 1);
 
  private:
   void worker_loop();

@@ -5,6 +5,7 @@
 #include <set>
 #include <vector>
 
+#include "core/run_context.hpp"
 #include "gpusim/calibration.hpp"
 #include "gpusim/executor.hpp"
 #include "util/error.hpp"
@@ -124,12 +125,12 @@ TEST(Executor, BankConflictsCharged) {
   KernelConfig cfg{"banks", 1, 32};
   const KernelReport free = sim.run(
       [&](const ThreadCtx& ctx, ThreadRecorder& rec) {
-        rec.shared_access(4ull * ctx.lane);
+        rec.shared_read(4ull * ctx.lane);
       },
       cfg);
   const KernelReport conflicted = sim.run(
       [&](const ThreadCtx& ctx, ThreadRecorder& rec) {
-        rec.shared_access(64ull * ctx.lane);  // 16-way conflict
+        rec.shared_read(64ull * ctx.lane);  // 16-way conflict
       },
       cfg);
   EXPECT_EQ(free.shared_slots, 1u);
@@ -150,25 +151,34 @@ TEST(Executor, ComputeOnlyKernelTimeScalesWithWork) {
 }
 
 TEST(Executor, SamplingScalesStatistics) {
+  // The drivers' sampling: every thread runs a prefix of its uniform
+  // work (2 of 8 reads), and core::rescale scales the report by the
+  // skipped share to stand for the whole launch.
   const Simulator sim(tesla_c1060());
   DeviceMemory mem(tesla_c1060());
   const Buffer buf = mem.alloc(1 << 20);
-  KernelConfig cfg{"sampled", 8, 128};  // 32 warps
-  const auto kernel = [&](const ThreadCtx& ctx, ThreadRecorder& rec) {
-    rec.global_read(buf, 4ull * ctx.global_id, 4);
-    rec.compute(7);
+  const KernelConfig cfg{"sampled", 8, 128};
+  const auto run = [&](std::uint64_t reads) {
+    return sim.run(
+        [&](const ThreadCtx& ctx, ThreadRecorder& rec) {
+          for (std::uint64_t i = 0; i < reads; ++i) {
+            rec.global_read(buf, 4 * (i * 1024 + ctx.global_id), 4);
+            rec.compute(7);
+          }
+        },
+        cfg);
   };
-  const KernelReport exact = sim.run(kernel, cfg, 1);
-  const KernelReport sampled = sim.run(kernel, cfg, 4);
+  const KernelReport exact = run(8);
+  KernelReport sampled = run(2);
+  core::rescale(core::RunContext{}, sampled, 4.0);
   EXPECT_EQ(sampled.sample_fraction, 0.25);
-  // Uniform workload: scaled statistics land close to the exact run.
-  EXPECT_NEAR(static_cast<double>(sampled.global_slots),
-              static_cast<double>(exact.global_slots), 1.0);
-  EXPECT_NEAR(static_cast<double>(sampled.transactions),
-              static_cast<double>(exact.transactions),
-              0.1 * static_cast<double>(exact.transactions));
+  EXPECT_EQ(sampled.global_slots, exact.global_slots);
+  EXPECT_EQ(sampled.transactions, exact.transactions);
+  EXPECT_EQ(sampled.bytes, exact.bytes);
+  EXPECT_DOUBLE_EQ(sampled.warp_instructions, exact.warp_instructions);
+  EXPECT_EQ(sampled.partition_histogram.total, exact.partition_histogram.total);
   EXPECT_NEAR(sampled.kernel_time_s, exact.kernel_time_s,
-              0.5 * exact.kernel_time_s);
+              0.05 * exact.kernel_time_s);
 }
 
 TEST(Executor, LaunchValidation) {
@@ -177,7 +187,6 @@ TEST(Executor, LaunchValidation) {
   EXPECT_THROW(sim.run(noop, {"bad", 0, 32}), lgg::Error);
   EXPECT_THROW(sim.run(noop, {"bad", 1, 0}), lgg::Error);
   EXPECT_THROW(sim.run(noop, {"bad", 1, 2048}), lgg::Error);
-  EXPECT_THROW(sim.run(noop, {"ok", 1, 32}, 0), lgg::Error);
 }
 
 TEST(Executor, LaunchOverheadFloor) {

@@ -252,8 +252,10 @@ TEST(ProfGolden, BfsIntersectKcliqueOnSingleTriangle) {
 }
 
 TEST(ProfCounters, SampledIntersectAndKcliqueProfilesTrackReports) {
-  // Both drivers rescale a truncated launch's report; the profile must
-  // follow (rescale_last) so it keeps matching what the caller sees.
+  // Every driver that changes a launch's report after the launch
+  // (sampling rescale, the listing's append charge) hands the final
+  // report to rescale_last, so the profile keeps matching what the
+  // caller sees.
   const graph::Graph g = test_graph();
   prof::Profiler profiler;
 
@@ -274,6 +276,45 @@ TEST(ProfCounters, SampledIntersectAndKcliqueProfilesTrackReports) {
   expect_profile_matches(profiler.profiles().back(), cliques.kernel);
   EXPECT_DOUBLE_EQ(profiler.profiles().back().sample_fraction,
                    cliques.kernel.sample_fraction);
+
+  // The listing charges its appends after the launch; the profile must
+  // carry them, sampled or not, and keep its invariants.
+  for (const std::uint64_t budget : {std::uint64_t{0}, std::uint64_t{1000}}) {
+    kcount_opts.max_simulated_tests = budget;
+    const auto listing = core::list_triangles_gpu(g, kcount_opts);
+    ASSERT_GT(listing.output_bytes, 0u);
+    ASSERT_EQ(listing.exact, budget == 0);
+    const prof::KernelProfile& p = profiler.profiles().back();
+    expect_profile_matches(p, listing.kernel);
+    EXPECT_DOUBLE_EQ(p.sample_fraction, listing.kernel.sample_fraction);
+    EXPECT_EQ(p.coalesced_transactions + p.uncoalesced_transactions,
+              p.transactions);
+    EXPECT_EQ(p.ideal_transactions + p.memory_replays, p.transactions);
+  }
+
+  // A truncated hybrid chunk is rescaled to its full test count.
+  core::HybridOptions hybrid_opts;
+  hybrid_opts.prof = &profiler;
+  hybrid_opts.max_simulated_tests_per_chunk = 500;
+  const core::AlsPrecomputed plan = core::precompute_als(g, hybrid_opts);
+  const gpusim::Simulator sim(hybrid_opts.device_spec());
+  gpusim::DeviceMemory mem(hybrid_opts.device_spec());
+  std::size_t truncated = 0;
+  for (std::size_t ci = 0; ci < plan.works.size(); ++ci) {
+    if (plan.works[ci].tests == 0) continue;
+    const core::ChunkLaunch chunk = core::run_chunk_kernel(
+        g, plan.chunking.chunks[ci], plan.works[ci], sim, mem, hybrid_opts);
+    if (chunk.simulated == plan.works[ci].tests) continue;
+    ++truncated;
+    const prof::KernelProfile& p = profiler.profiles().back();
+    expect_profile_matches(p, chunk.report);
+    EXPECT_DOUBLE_EQ(p.sample_fraction, chunk.report.sample_fraction);
+    EXPECT_LT(p.sample_fraction, 1.0);
+    EXPECT_EQ(p.coalesced_transactions + p.uncoalesced_transactions,
+              p.transactions);
+    EXPECT_EQ(p.shared_accesses + p.shared_replays, p.bank_conflict_steps);
+  }
+  EXPECT_GT(truncated, 0u);
 }
 
 TEST(ProfExports, MetricsAggregateAndTracksRender) {

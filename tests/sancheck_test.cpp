@@ -40,14 +40,13 @@ using gpusim::ThreadRecorder;
 /// Run `kernel` under a kReport analyzer and return the hazards.
 HazardReport analyze(const KernelFn& kernel, const KernelConfig& config,
                      DeviceMemory& mem, std::vector<Buffer> staged = {},
-                     const ExecPolicy& policy = ExecPolicy::serial(),
-                     std::uint32_t stride = 1) {
+                     const ExecPolicy& policy = ExecPolicy::serial()) {
   const Simulator sim(mem.spec());
   SancheckConfig sc;
   sc.mode = SancheckMode::kReport;
   sc.staged = std::move(staged);
   const TapeAnalyzer analyzer(std::move(sc), mem);
-  return sim.run(kernel, config, stride, policy, &analyzer).hazards;
+  return sim.run(kernel, config, policy, &analyzer).hazards;
 }
 
 // ---------------------------------------------------------------------------
@@ -246,16 +245,15 @@ TEST(TapeAnalyzer, StrictModeThrowsOnFirstHazard) {
   const KernelFn bad = [&](const ThreadCtx&, ThreadRecorder& rec) {
     rec.global_read(scratch, 0, 4);  // uninitialised
   };
-  EXPECT_THROW(sim.run(bad, {"strict", 1, 32}, 1, ExecPolicy::serial(),
-                       &analyzer),
+  EXPECT_THROW(sim.run(bad, {"strict", 1, 32}, ExecPolicy::serial(), &analyzer),
                lgg::Error);
   // Same kernel, clean when the buffer is staged.
   SancheckConfig ok;
   ok.mode = SancheckMode::kStrict;
   ok.staged = {scratch};
   const TapeAnalyzer lenient(std::move(ok), mem);
-  EXPECT_NO_THROW(sim.run(bad, {"strict", 1, 32}, 1, ExecPolicy::serial(),
-                          &lenient));
+  EXPECT_NO_THROW(
+      sim.run(bad, {"strict", 1, 32}, ExecPolicy::serial(), &lenient));
 }
 
 // ---------------------------------------------------------------------------
@@ -286,16 +284,16 @@ TEST(TapeAnalyzer, ReportBitIdenticalAcrossThreadCounts) {
     rec.sync();
     rec.shared_read(4 * (ctx.thread % 16));
   };
-  for (const std::uint32_t stride : {1u, 3u}) {
-    const KernelConfig cfg{"det", 5, 96};
-    const HazardReport serial = analyze(kernel, cfg, mem, {staged},
-                                        ExecPolicy::serial(), stride);
+  // Fewer blocks than SMs, and more (several blocks share a shard).
+  for (const KernelConfig& cfg :
+       {KernelConfig{"det", 5, 96}, KernelConfig{"det-wide", 67, 64}}) {
+    const HazardReport serial =
+        analyze(kernel, cfg, mem, {staged}, ExecPolicy::serial());
     EXPECT_FALSE(serial.clean());
     for (const std::size_t threads : {1u, 2u, 5u, 13u}) {
-      SCOPED_TRACE("stride" + std::to_string(stride) + "/threads" +
-                   std::to_string(threads));
-      const HazardReport parallel = analyze(
-          kernel, cfg, mem, {staged}, ExecPolicy::parallel(threads), stride);
+      SCOPED_TRACE(cfg.name + "/threads" + std::to_string(threads));
+      const HazardReport parallel = analyze(kernel, cfg, mem, {staged},
+                                            ExecPolicy::parallel(threads));
       expect_hazards_identical(serial, parallel);
     }
   }

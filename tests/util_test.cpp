@@ -224,8 +224,8 @@ TEST(ThreadPool, PropagatesException) {
 }
 
 TEST(ThreadPool, PropagatesExceptionFromWorkerChunk) {
-  // Chunk 0 runs inline on the caller; force the throw into a chunk that
-  // is executed by a pool worker (lo != 0) and check it still propagates.
+  // The caller claims chunks too; every chunk but the first throws, so
+  // some throw lands on a pool worker and must still propagate.
   ThreadPool pool(4);
   EXPECT_THROW(pool.parallel_for(100,
                                  [](std::size_t lo, std::size_t) {
@@ -272,21 +272,25 @@ TEST(ThreadPool, GrainBoundsChunkSize) {
   EXPECT_LE(sizes.size(), 2u);  // 100 / 40 = 2 chunks max
 }
 
+// The ThreadPoolDynamic cases run parallel_for with several chunks per
+// worker (the claiming regime the ingest sorts use).
 TEST(ThreadPoolDynamic, CoversWholeRangeOnce) {
   ThreadPool pool(4);
   std::vector<std::atomic<int>> hits(1000);
-  pool.parallel_for_dynamic(1000, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) hits[i].fetch_add(1);
-  });
+  pool.parallel_for(
+      1000,
+      [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t i = lo; i < hi; ++i) hits[i].fetch_add(1);
+      },
+      1, 8);
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 TEST(ThreadPoolDynamic, EmptyRangeIsNoop) {
   ThreadPool pool(2);
   bool called = false;
-  pool.parallel_for_dynamic(0, [&](std::size_t, std::size_t) {
-    called = true;
-  });
+  pool.parallel_for(
+      0, [&](std::size_t, std::size_t) { called = true; }, 1, 8);
   EXPECT_FALSE(called);
 }
 
@@ -294,13 +298,13 @@ TEST(ThreadPoolDynamic, GrainBoundsChunkCount) {
   ThreadPool pool(8);
   std::mutex mu;
   std::vector<std::pair<std::size_t, std::size_t>> chunks;
-  pool.parallel_for_dynamic(
+  pool.parallel_for(
       100,
       [&](std::size_t lo, std::size_t hi) {
         const std::lock_guard lock(mu);
         chunks.emplace_back(lo, hi);
       },
-      40);
+      40, 8);
   std::size_t covered = 0;
   for (const auto& [lo, hi] : chunks) {
     EXPECT_LT(lo, hi);
@@ -312,11 +316,12 @@ TEST(ThreadPoolDynamic, GrainBoundsChunkCount) {
 
 TEST(ThreadPoolDynamic, PropagatesException) {
   ThreadPool pool(4);
-  EXPECT_THROW(pool.parallel_for_dynamic(
+  EXPECT_THROW(pool.parallel_for(
                    100,
                    [](std::size_t lo, std::size_t) {
                      if (lo != 0) throw std::runtime_error("dynamic boom");
-                   }),
+                   },
+                   1, 8),
                std::runtime_error);
 }
 
@@ -381,7 +386,7 @@ TEST(ThreadPool, CompletionSurvivesCallerFrameReuse) {
       };
       pool.parallel_for(workers + 1, count);
       clobber_dead_frame();
-      pool.parallel_for_dynamic(2 * workers + 2, count, 1, 1);
+      pool.parallel_for(2 * workers + 2, count, 1, 2);
       clobber_dead_frame();
       ASSERT_EQ(covered.load(), 3 * workers + 3) << "workers " << workers;
     }
