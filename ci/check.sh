@@ -4,11 +4,12 @@
 # suites + golden + thread-count byte-identity), the prof stage (profiler
 # suites + golden profile-tree + lgg_prof diff gate), the bench stage
 # (bench_smoke vs the committed baseline via ci/bench_diff), the
-# address+UB-sanitized preset, the thread-sanitized preset (concurrency
-# label only -- TSan is too slow for the full suite), and finally the
-# lint stage: lgg_lint's
-# determinism source lint + whole-pipeline plan verification (always), and
-# clang-tidy on top when installed.
+# perfbench stage (host-clock driver build + its unit tests + one short
+# workload run), the address+UB-sanitized preset, the thread-sanitized
+# preset (concurrency label only -- TSan is too slow for the full suite),
+# and finally the lint stage: lgg_lint's determinism source lint +
+# whole-pipeline plan verification (always), and clang-tidy on top when
+# installed.
 #
 # Usage: ci/check.sh [extra ctest args, e.g. -j8]
 set -euo pipefail
@@ -198,6 +199,18 @@ build/bench/bench_smoke | grep '^BENCHJSON ' | sed 's/^BENCHJSON //' \
 ci/bench_diff ci/golden/bench_smoke.json "$OBS_TMP/bench_smoke.json" \
       --rtol 0.02
 echo "bench_smoke modelled metrics within 2% of the committed baseline"
+
+step "perfbench: driver build, unit tests, sampled_layouts smoke"
+# perfbench/ is its own CMake package that compiles ../src and uses the
+# planning API (AlsPlan, AlsPrecomputed::levels, ChunkingResult::trees,
+# run_chunk_kernel); building its driver here catches an API change that
+# breaks it.  run.py exits non-zero when an op fails or an output check
+# does not hold.
+cmake -S perfbench -B build/perfbench -DCMAKE_BUILD_TYPE=RelWithDebInfo
+cmake --build build/perfbench --target perfbench_driver -j "$JOBS"
+python3 -m unittest discover -s perfbench/tests
+python3 perfbench/run.py --workload sampled_layouts --seed 1 --seconds 2 \
+      --trace 0
 
 step "asan: configure + build (LGG_SANITIZE=address, LGG_WERROR=ON)"
 cmake --preset asan

@@ -20,42 +20,60 @@ std::uint64_t als_total_tests(std::uint32_t s, std::uint32_t x_max) noexcept {
   return binomial(s, 3) - binomial(s - x_max, 3);
 }
 
+template <class Levels>
+void append_als_jobs(std::uint32_t component, const Levels& levels,
+                     std::uint32_t first, std::uint32_t last,
+                     std::vector<AlsJob>& jobs, std::uint64_t& total_tests) {
+  const std::size_t depth = levels.num_levels();
+  LGG_ASSERT(first <= last && last < depth);
+  // One job per first level in [first, last); a one-level run, which only
+  // a one-level component has, is one job over that level.
+  for (std::uint32_t l = first; l == first || l < last; ++l) {
+    const auto lvl_a = levels.level(l);
+    const auto lvl_b = l + 1 < depth ? levels.level(l + 1)
+                                     : std::span<const graph::Vertex>{};
+    AlsJob job;
+    job.component = component;
+    job.first_level = l;
+    job.local_to_global.reserve(lvl_a.size() + lvl_b.size());
+    job.local_to_global.insert(job.local_to_global.end(), lvl_a.begin(),
+                               lvl_a.end());
+    job.local_to_global.insert(job.local_to_global.end(), lvl_b.begin(),
+                               lvl_b.end());
+    job.a = static_cast<std::uint32_t>(lvl_a.size());
+    job.s = static_cast<std::uint32_t>(job.local_to_global.size());
+    if (job.s >= 3) {
+      const bool is_last = l + 2 >= depth;  // L_{l+1} is the last level
+      job.x_max = is_last ? job.s - 2 : std::min(job.a, job.s - 2);
+      job.tests = als_total_tests(job.s, job.x_max);
+    }
+    job.test_offset = total_tests;
+    LGG_CHECK(job.tests != combi::kBinomialOverflow &&
+                  total_tests <= ~std::uint64_t{0} - job.tests,
+              "ALS test count overflows 64 bits");
+    total_tests += job.tests;
+    jobs.push_back(std::move(job));
+  }
+}
+
+template void append_als_jobs(std::uint32_t, const graph::ComponentLevels&,
+                              std::uint32_t, std::uint32_t,
+                              std::vector<AlsJob>&, std::uint64_t&);
+template void append_als_jobs(std::uint32_t, const graph::LevelDecomposition&,
+                              std::uint32_t, std::uint32_t,
+                              std::vector<AlsJob>&, std::uint64_t&);
+
 AlsPlan build_als_plan(const graph::Graph& g) {
   AlsPlan plan;
   const graph::Components comps = graph::connected_components(g);
   plan.num_components = comps.count;
-
+  // BFS touches each component edge twice plus each vertex once.
+  for (graph::Vertex v = 0; v < g.num_vertices(); ++v)
+    plan.bfs_edges_visited += g.degree(v);
   for (std::uint32_t c = 0; c < comps.count; ++c) {
-    const std::vector<graph::Vertex> members = comps.vertices_of(c);
-    const graph::BfsTree tree = graph::bfs(g, members.front());
-    // BFS touches each component edge twice plus each vertex once.
-    for (const graph::Vertex v : members)
-      plan.bfs_edges_visited += g.degree(v);
-    const graph::LevelDecomposition levels(tree);
-    for (const graph::AdjacentLevelSet& als :
-         graph::adjacent_level_sets(levels)) {
-      AlsJob job;
-      job.component = c;
-      job.first_level = als.first_level_index;
-      job.local_to_global.reserve(als.size());
-      job.local_to_global.insert(job.local_to_global.end(), als.first.begin(),
-                                 als.first.end());
-      job.local_to_global.insert(job.local_to_global.end(),
-                                 als.second.begin(), als.second.end());
-      job.a = static_cast<std::uint32_t>(als.first.size());
-      job.s = static_cast<std::uint32_t>(als.size());
-      if (job.s >= 3) {
-        job.x_max = als.is_last ? job.s - 2
-                                : std::min(job.a, job.s - 2);
-        job.tests = als_total_tests(job.s, job.x_max);
-      }
-      job.test_offset = plan.total_tests;
-      LGG_CHECK(job.tests != combi::kBinomialOverflow &&
-                    plan.total_tests <= ~std::uint64_t{0} - job.tests,
-                "ALS test count overflows 64 bits");
-      plan.total_tests += job.tests;
-      plan.jobs.push_back(std::move(job));
-    }
+    const graph::ComponentLevels levels = comps.levels(c);
+    const auto last = static_cast<std::uint32_t>(levels.num_levels() - 1);
+    append_als_jobs(c, levels, 0, last, plan.jobs, plan.total_tests);
   }
   return plan;
 }

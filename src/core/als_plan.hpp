@@ -49,10 +49,22 @@ struct AlsPlan {
   std::uint64_t bfs_edges_visited = 0;  // preprocessing cost (Algorithm 1)
 };
 
-/// Build the plan: BFS each component from its smallest vertex, form the
-/// ALS sequence, compute test counts and offsets.  Jobs with fewer than
-/// three vertices are kept (tests == 0) so job indices match ALS indices.
+/// Build the plan: take each component's BFS levels (from its smallest
+/// vertex, as graph::connected_components walks them), form the ALS
+/// sequence, compute test counts and offsets.  Jobs with fewer than three
+/// vertices are kept (tests == 0) so job indices match ALS indices.
 AlsPlan build_als_plan(const graph::Graph& g);
+
+/// Append the ALS jobs of consecutive levels [first, last] of one
+/// component: (L_i, L_{i+1}) for i in [first, last), the job reaching the
+/// last level widened to x_max = s - 2.  Offsets continue from
+/// `total_tests`, which is advanced.  [0, num_levels - 1] is a whole
+/// component, a chunk's range its owned work.  Defined for
+/// graph::ComponentLevels and graph::LevelDecomposition.
+template <class Levels>
+void append_als_jobs(std::uint32_t component, const Levels& levels,
+                     std::uint32_t first, std::uint32_t last,
+                     std::vector<AlsJob>& jobs, std::uint64_t& total_tests);
 
 /// Number of tests with first local id x: C(s-1-x, 2).
 std::uint64_t als_tests_for_x(std::uint32_t s, std::uint32_t x) noexcept;

@@ -44,41 +44,8 @@ sched::Assignment schedule_chunks(
 ChunkWork build_chunk_work(const graph::Chunk& chunk,
                            const graph::LevelDecomposition& levels) {
   ChunkWork work;
-  const std::size_t depth = levels.num_levels();  // d + 1 levels
-  LGG_ASSERT(depth > 0);
-
-  auto push_als = [&](std::uint32_t first_level, bool is_last) {
-    AlsJob job;
-    job.component = chunk.component;
-    job.first_level = first_level;
-    const auto& first = levels.levels()[first_level];
-    job.local_to_global.assign(first.begin(), first.end());
-    if (first_level + 1 < depth) {
-      const auto& second = levels.levels()[first_level + 1];
-      job.local_to_global.insert(job.local_to_global.end(), second.begin(),
-                                 second.end());
-    }
-    job.a = static_cast<std::uint32_t>(first.size());
-    job.s = static_cast<std::uint32_t>(job.local_to_global.size());
-    if (job.s >= 3) {
-      job.x_max =
-          is_last ? job.s - 2 : std::min(job.a, job.s - 2);
-      job.tests = als_total_tests(job.s, job.x_max);
-    }
-    job.test_offset = work.tests;
-    work.tests += job.tests;
-    work.jobs.push_back(std::move(job));
-  };
-
-  if (chunk.first_level == chunk.last_level) {
-    // Single-level chunk == single-level component: one trailing ALS.
-    push_als(chunk.first_level, /*is_last=*/true);
-    return work;
-  }
-  for (std::uint32_t l = chunk.first_level; l < chunk.last_level; ++l) {
-    const bool component_last = (l + 2 == depth);
-    push_als(l, component_last);
-  }
+  append_als_jobs(chunk.component, levels, chunk.first_level,
+                  chunk.last_level, work.jobs, work.tests);
   return work;
 }
 

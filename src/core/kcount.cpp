@@ -42,9 +42,7 @@ void for_each_window_combination(
     const std::function<void(std::span<const Vertex>)>& test) {
   const graph::Components comps = graph::connected_components(g);
   for (std::uint32_t c = 0; c < comps.count; ++c) {
-    const auto members = comps.vertices_of(c);
-    const graph::BfsTree tree = graph::bfs(g, members.front());
-    const graph::LevelDecomposition levels(tree);
+    const graph::ComponentLevels levels = comps.levels(c);
     const std::size_t d = levels.num_levels();
 
     std::vector<Vertex> window;

@@ -51,9 +51,7 @@ std::vector<WindowJob> build_windows(const Graph& g,
   total_tests = 0;
   const graph::Components comps = graph::connected_components(g);
   for (std::uint32_t c = 0; c < comps.count; ++c) {
-    const auto members = comps.vertices_of(c);
-    const graph::BfsTree tree = graph::bfs(g, members.front());
-    const graph::LevelDecomposition levels(tree);
+    const graph::ComponentLevels levels = comps.levels(c);
     const std::size_t d = levels.num_levels();
     for (std::size_t i = 0; i < d; ++i) {
       WindowJob w;
@@ -172,11 +170,9 @@ GpuKCountResult run_kcount(
   result.transfer = transfer(opts, sim, matrix.bytes);
 
   if (total == 0) {
-    // Nothing launches, but the caller's charge still prices its report.
-    if (charge) charge(result.kernel);
+    // Nothing launches, so there is no kernel time to charge.
     result.total_time_s = result.transfer.time_s + cal::kDispatchOverheadS +
-                          cal::kDeviceInitOverheadS +
-                          result.kernel.kernel_time_s;
+                          cal::kDeviceInitOverheadS;
     driver.model_s(cal::kDispatchOverheadS + cal::kDeviceInitOverheadS);
     return result;
   }

@@ -37,30 +37,50 @@ BfsTree bfs(const Graph& g, Vertex source) {
 Components connected_components(const Graph& g) {
   Components comps;
   comps.component_of.assign(g.num_vertices(), kUnreached);
-  std::deque<Vertex> queue;
+  // The flat level array doubles as the BFS queue: a component's walk
+  // appends its vertices in hop order, and what expanding one level
+  // appends is the next level.
+  auto& queue = comps.level_vertices;
+  queue.reserve(g.num_vertices());
+  comps.level_start.push_back(0);
   for (Vertex start = 0; start < g.num_vertices(); ++start) {
     if (comps.component_of[start] != kUnreached) continue;
     const std::uint32_t id = comps.count++;
+    comps.first_level.push_back(
+        static_cast<std::uint32_t>(comps.level_start.size() - 1));
     comps.component_of[start] = id;
     queue.push_back(start);
-    while (!queue.empty()) {
-      const Vertex u = queue.front();
-      queue.pop_front();
-      for (Vertex v : g.neighbors(u)) {
-        if (comps.component_of[v] == kUnreached) {
-          comps.component_of[v] = id;
-          queue.push_back(v);
-        }
-      }
+    for (std::size_t head = queue.size() - 1; head < queue.size();) {
+      const std::size_t level_end = queue.size();
+      for (; head < level_end; ++head)
+        for (const Vertex v : g.neighbors(queue[head]))
+          if (comps.component_of[v] == kUnreached) {
+            comps.component_of[v] = id;
+            queue.push_back(v);
+          }
+      std::sort(queue.begin() + static_cast<std::ptrdiff_t>(
+                                    comps.level_start.back()),
+                queue.begin() + static_cast<std::ptrdiff_t>(level_end));
+      comps.level_start.push_back(level_end);
     }
   }
+  comps.first_level.push_back(
+      static_cast<std::uint32_t>(comps.level_start.size() - 1));
   return comps;
 }
 
+ComponentLevels Components::levels(std::uint32_t c) const {
+  LGG_CHECK(c < count, "component " << c << " out of range");
+  return {level_vertices,
+          std::span<const std::size_t>(level_start)
+              .subspan(first_level[c], first_level[c + 1] - first_level[c] + 1)};
+}
+
 std::vector<Vertex> Components::vertices_of(std::uint32_t c) const {
-  std::vector<Vertex> result;
-  for (Vertex v = 0; v < component_of.size(); ++v)
-    if (component_of[v] == c) result.push_back(v);
+  const ComponentLevels lv = levels(c);  // contiguous in level_vertices
+  std::vector<Vertex> result(lv.vertices.begin() + lv.bounds.front(),
+                             lv.vertices.begin() + lv.bounds.back());
+  std::sort(result.begin(), result.end());
   return result;
 }
 
@@ -77,31 +97,6 @@ std::size_t LevelDecomposition::total_vertices() const noexcept {
   std::size_t total = 0;
   for (const auto& lvl : levels_) total += lvl.size();
   return total;
-}
-
-std::vector<AdjacentLevelSet> adjacent_level_sets(
-    const LevelDecomposition& levels) {
-  std::vector<AdjacentLevelSet> sets;
-  const std::size_t d = levels.num_levels();
-  if (d == 0) return sets;
-  if (d == 1) {
-    AdjacentLevelSet only;
-    only.first_level_index = 0;
-    only.first.assign(levels.level(0).begin(), levels.level(0).end());
-    only.is_last = true;
-    sets.push_back(std::move(only));
-    return sets;
-  }
-  sets.reserve(d - 1);
-  for (std::size_t i = 0; i + 1 < d; ++i) {
-    AdjacentLevelSet als;
-    als.first_level_index = static_cast<std::uint32_t>(i);
-    als.first.assign(levels.level(i).begin(), levels.level(i).end());
-    als.second.assign(levels.level(i + 1).begin(), levels.level(i + 1).end());
-    als.is_last = (i + 2 == d);
-    sets.push_back(std::move(als));
-  }
-  return sets;
 }
 
 }  // namespace lgg::graph

@@ -5,7 +5,8 @@
 // joins vertices whose BFS levels differ by at most 1, so any triangle is
 // contained in the union of two consecutive BFS levels.  Algorithm 2
 // therefore iterates over *adjacent level sets* (ALS): pairs
-// (L_i, L_{i+1}), plus the final level alone (Fig. 3).
+// (L_i, L_{i+1}), plus the final level alone (Fig. 3); core/als_plan.hpp
+// turns a component's levels into those jobs.
 #pragma once
 
 #include <cstdint>
@@ -32,13 +33,39 @@ struct BfsTree {
 /// Standard queue BFS from `source`.
 BfsTree bfs(const Graph& g, Vertex source);
 
+/// One component's BFS levels, viewing flat storage that must outlive it:
+/// level i is vertices[bounds[i], bounds[i+1]), ascending.
+struct ComponentLevels {
+  std::span<const Vertex> vertices;
+  std::span<const std::size_t> bounds;  // num_levels() + 1 offsets
+
+  [[nodiscard]] std::size_t num_levels() const noexcept {
+    return bounds.size() - 1;
+  }
+  [[nodiscard]] std::span<const Vertex> level(std::size_t i) const noexcept {
+    return vertices.subspan(bounds[i], bounds[i + 1] - bounds[i]);
+  }
+};
+
 /// Connected components by repeated BFS; component ids are dense in
 /// [0, count) and assigned in order of the smallest contained vertex.
+/// Each BFS starts at the component's smallest vertex and keeps the
+/// levels it walks, so Algorithm 2's planners need no BFS of their own.
 struct Components {
   std::vector<std::uint32_t> component_of;  // per vertex
   std::uint32_t count = 0;
+  // All levels back to back, component-major.  Level l (counted over all
+  // components) is level_vertices[level_start[l], level_start[l+1]);
+  // component c has levels [first_level[c], first_level[c+1]).
+  std::vector<Vertex> level_vertices;
+  std::vector<std::size_t> level_start;
+  std::vector<std::uint32_t> first_level;
 
-  /// Vertices of component c, ascending.
+  /// Levels of component c: those of LevelDecomposition(bfs(g, smallest
+  /// vertex of c)).  Valid while *this is.
+  [[nodiscard]] ComponentLevels levels(std::uint32_t c) const;
+
+  /// Vertices of component c, ascending; O(size log size).
   [[nodiscard]] std::vector<Vertex> vertices_of(std::uint32_t c) const;
 };
 Components connected_components(const Graph& g);
@@ -67,26 +94,5 @@ class LevelDecomposition {
  private:
   std::vector<std::vector<Vertex>> levels_;
 };
-
-/// One adjacent level set: the two consecutive BFS levels Algorithm 2
-/// scans for triangles.  `second` is empty for the trailing single-level
-/// set of a one-level component.
-struct AdjacentLevelSet {
-  std::uint32_t first_level_index = 0;
-  std::vector<Vertex> first;   // L_i
-  std::vector<Vertex> second;  // L_{i+1} (may be empty)
-  bool is_last = false;        // true for the final set of the component
-
-  [[nodiscard]] std::size_t size() const noexcept {
-    return first.size() + second.size();
-  }
-};
-
-/// Build the ALS sequence for one level decomposition: (L_0, L_1),
-/// (L_1, L_2), ..., (L_{d-1}, L_d).  A single-level component yields one
-/// set with empty `second`.  The last set has is_last == true, which tells
-/// Algorithm 2 to also count triangles entirely inside its second level.
-std::vector<AdjacentLevelSet> adjacent_level_sets(
-    const LevelDecomposition& levels);
 
 }  // namespace lgg::graph

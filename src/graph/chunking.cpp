@@ -113,6 +113,7 @@ ChunkingResult split_into_chunks(const Graph& g, const ChunkingOptions& opts) {
       chunk.vertices = members;
       chunk.bits = whole;
       chunk.fits_shared = true;
+      result.fragmentation_bits += opts.shared_mem_bits - whole;
       result.chunks.push_back(std::move(chunk));
       continue;
     }

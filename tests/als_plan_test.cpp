@@ -234,5 +234,74 @@ TEST(AlsPlan, BfsEdgeAccounting) {
   EXPECT_EQ(plan.bfs_edges_visited, 2 * g.num_edges());
 }
 
+TEST(AlsPlan, PairsShareBoundaryLevel) {
+  // Path 0-1-2-3-4: levels {0},{1},{2},{3},{4} -> ALS (L_i, L_{i+1}) for
+  // i = 0..3; consecutive jobs share a level.
+  const AlsPlan plan = build_als_plan(graph::path(5));
+  ASSERT_EQ(plan.jobs.size(), 4u);
+  for (std::size_t i = 0; i < plan.jobs.size(); ++i) {
+    const AlsJob& job = plan.jobs[i];
+    EXPECT_EQ(job.first_level, i);
+    EXPECT_EQ(job.a, 1u);
+    EXPECT_EQ(job.s, 2u);
+    EXPECT_EQ(job.local_to_global, (std::vector<graph::Vertex>{
+                                       static_cast<graph::Vertex>(i),
+                                       static_cast<graph::Vertex>(i + 1)}));
+    if (i > 0) {  // this job's first level is the previous job's second
+      const AlsJob& prev = plan.jobs[i - 1];
+      EXPECT_EQ(job.local_to_global[0], prev.local_to_global[prev.a]);
+    }
+  }
+  // Only the component's last ALS widens x_max to s - 2.  Levels {0},
+  // {1,2,3}, {4,5,6}: the first ALS keeps x_max = min(a, s - 2) = 1, the
+  // last one covers x < s - 2 = 4.
+  const Graph broom = Graph::from_edges(
+      7, std::vector<graph::Edge>{{0, 1}, {0, 2}, {0, 3}, {1, 4}, {1, 5},
+                                  {1, 6}});
+  const AlsPlan two = build_als_plan(broom);
+  ASSERT_EQ(two.jobs.size(), 2u);
+  EXPECT_EQ(two.jobs[0].x_max, 1u);
+  EXPECT_EQ(two.jobs[1].a, 3u);
+  EXPECT_EQ(two.jobs[1].x_max, 4u);
+}
+
+TEST(AlsPlan, SingleLevelComponentIsOneWidenedJob) {
+  const AlsPlan plan = build_als_plan(Graph(4));  // four isolated vertices
+  ASSERT_EQ(plan.jobs.size(), 4u);
+  for (std::uint32_t c = 0; c < 4; ++c) {
+    const AlsJob& job = plan.jobs[c];
+    EXPECT_EQ(job.component, c);
+    EXPECT_EQ(job.first_level, 0u);
+    EXPECT_EQ(job.local_to_global, std::vector<graph::Vertex>{c});
+    EXPECT_EQ(job.a, 1u);
+    EXPECT_EQ(job.s, 1u);
+  }
+  // A level run of one is one job over that level alone, widened as the
+  // component's last.
+  const std::vector<graph::Vertex> vertices{2, 5, 7, 9};
+  const std::vector<std::size_t> bounds{0, 4};
+  std::vector<AlsJob> jobs;
+  std::uint64_t total = 10;
+  append_als_jobs(3, graph::ComponentLevels{vertices, bounds}, 0, 0, jobs,
+                  total);
+  ASSERT_EQ(jobs.size(), 1u);
+  EXPECT_EQ(jobs[0].local_to_global, (std::vector<graph::Vertex>{2, 5, 7, 9}));
+  EXPECT_EQ(jobs[0].a, 4u);
+  EXPECT_EQ(jobs[0].x_max, 2u);
+  EXPECT_EQ(jobs[0].tests, binomial(4, 3));
+  EXPECT_EQ(jobs[0].test_offset, 10u);
+  EXPECT_EQ(total, 10 + binomial(4, 3));
+}
+
+TEST(AlsPlan, JobsCoverEveryVertex) {
+  const Graph g = graph::erdos_renyi(90, 0.04, 5);
+  const AlsPlan plan = build_als_plan(g);
+  std::vector<bool> seen(g.num_vertices(), false);
+  for (const AlsJob& job : plan.jobs)
+    for (const graph::Vertex v : job.local_to_global) seen[v] = true;
+  for (graph::Vertex v = 0; v < g.num_vertices(); ++v)
+    EXPECT_TRUE(seen[v]) << "vertex " << v;
+}
+
 }  // namespace
 }  // namespace lgg::core

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "graph/bfs.hpp"
 #include "graph/generators.hpp"
 #include "util/error.hpp"
@@ -93,44 +95,32 @@ TEST(LevelDecomposition, BucketsAllVertices) {
   }
 }
 
-TEST(AdjacentLevelSets, PairsWithSharedBoundary) {
-  const Graph g = path(5);  // levels {0},{1},{2},{3},{4}
-  const LevelDecomposition levels(bfs(g, 0));
-  const auto sets = adjacent_level_sets(levels);
-  ASSERT_EQ(sets.size(), 4u);
-  for (std::size_t i = 0; i < sets.size(); ++i) {
-    EXPECT_EQ(sets[i].first_level_index, i);
-    EXPECT_EQ(sets[i].first.size(), 1u);
-    EXPECT_EQ(sets[i].second.size(), 1u);
-    EXPECT_EQ(sets[i].is_last, i + 1 == sets.size());
-    if (i > 0) {
-      EXPECT_EQ(sets[i].first, sets[i - 1].second);  // overlap
+// The levels connected_components keeps are the ones a second BFS from
+// each component's smallest vertex would bucket: same count, same sets,
+// each ascending.
+TEST(ConnectedComponents, LevelsMatchBfsFromSmallestVertex) {
+  const Graph graphs[] = {rmat(10, 8, 3),
+                          disjoint_union(disjoint_union(complete(4), path(7)),
+                                         disjoint_union(star(6), Graph(2))),
+                          Graph(0), Graph(1)};
+  for (const Graph& g : graphs) {
+    const Components comps = connected_components(g);
+    std::size_t covered = 0;
+    for (std::uint32_t c = 0; c < comps.count; ++c) {
+      const auto members = comps.vertices_of(c);
+      ASSERT_FALSE(members.empty());
+      EXPECT_TRUE(std::is_sorted(members.begin(), members.end()));
+      for (const Vertex v : members) EXPECT_EQ(comps.component_of[v], c);
+      const LevelDecomposition reference(bfs(g, members.front()));
+      const ComponentLevels levels = comps.levels(c);
+      ASSERT_EQ(levels.num_levels(), reference.num_levels());
+      for (std::size_t l = 0; l < levels.num_levels(); ++l)
+        EXPECT_TRUE(std::ranges::equal(levels.level(l), reference.level(l)))
+            << "component " << c << " level " << l << " of "
+            << g.num_vertices() << " vertices";
+      covered += members.size();
     }
-  }
-}
-
-TEST(AdjacentLevelSets, SingleLevelComponent) {
-  const Graph g(4);  // one isolated vertex per component
-  const LevelDecomposition levels(bfs(g, 2));
-  const auto sets = adjacent_level_sets(levels);
-  ASSERT_EQ(sets.size(), 1u);
-  EXPECT_TRUE(sets[0].second.empty());
-  EXPECT_TRUE(sets[0].is_last);
-  EXPECT_EQ(sets[0].first, std::vector<Vertex>{2});
-}
-
-TEST(AdjacentLevelSets, CoversEveryVertex) {
-  const Graph g = erdos_renyi(90, 0.04, 5);
-  const Components comps = connected_components(g);
-  for (std::uint32_t c = 0; c < comps.count; ++c) {
-    const auto members = comps.vertices_of(c);
-    const LevelDecomposition levels(bfs(g, members.front()));
-    std::vector<bool> seen(g.num_vertices(), false);
-    for (const auto& als : adjacent_level_sets(levels)) {
-      for (const Vertex v : als.first) seen[v] = true;
-      for (const Vertex v : als.second) seen[v] = true;
-    }
-    for (const Vertex v : members) EXPECT_TRUE(seen[v]);
+    EXPECT_EQ(covered, g.num_vertices());
   }
 }
 

@@ -110,13 +110,17 @@ TEST(Chunking, MultipleComponentsProcessedSeparately) {
 }
 
 TEST(Chunking, FragmentationAccountedOnlyForFittingChunks) {
-  const Graph g = path(40);
+  // The K5 (10 bits) fits the budget whole and takes the one-chunk fast
+  // path; the path is split.  Both kinds of fitting chunk count.
   const ChunkingOptions opts = opts_with_budget(45);
-  const auto result = split_into_chunks(g, opts);
-  std::uint64_t expect = 0;
-  for (const auto& chunk : result.chunks)
-    if (chunk.fits_shared) expect += opts.shared_mem_bits - chunk.bits;
-  EXPECT_EQ(result.fragmentation_bits, expect);
+  for (const Graph& g : {path(40), disjoint_union(path(40), complete(5))}) {
+    const auto result = split_into_chunks(g, opts);
+    std::uint64_t expect = 0;
+    for (const auto& chunk : result.chunks)
+      if (chunk.fits_shared) expect += opts.shared_mem_bits - chunk.bits;
+    EXPECT_EQ(result.fragmentation_bits, expect)
+        << g.num_vertices() << " vertices";
+  }
 }
 
 TEST(Chunking, InvalidOptionsThrow) {

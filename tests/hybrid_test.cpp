@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <utility>
+#include <vector>
 
 #include "core/als_plan.hpp"
 #include "core/hybrid.hpp"
@@ -76,6 +77,46 @@ TEST(Hybrid, ChunkTestsPartitionThePlan) {
   EXPECT_EQ(sum, r.total_tests);
   EXPECT_EQ(tri, r.triangles);
   EXPECT_EQ(r.total_tests, build_als_plan(g).total_tests);
+}
+
+// A chunk holding its whole component owns exactly the ALS jobs the plan
+// builds for that component; only the test offsets differ (chunk-relative
+// vs plan-wide).
+TEST(Hybrid, WholeComponentChunkMatchesPlanJobs) {
+  const Graph g = graph::disjoint_union(
+      graph::disjoint_union(graph::erdos_renyi(60, 0.1, 3), graph::star(7)),
+      graph::disjoint_union(graph::complete(6), Graph(2)));
+  const AlsPrecomputed pre = precompute_als(g, exact_opts());
+  const AlsPlan plan = build_als_plan(g);
+  std::size_t compared = 0;
+  for (std::size_t ci = 0; ci < pre.chunking.chunks.size(); ++ci) {
+    const graph::Chunk& chunk = pre.chunking.chunks[ci];
+    ASSERT_EQ(chunk.first_level, 0u);
+    ASSERT_EQ(chunk.last_level + 1,
+              pre.levels[chunk.component].num_levels());  // whole component
+    std::vector<const AlsJob*> expected;
+    for (const AlsJob& job : plan.jobs)
+      if (job.component == chunk.component) expected.push_back(&job);
+    const ChunkWork& work = pre.works[ci];
+    ASSERT_EQ(work.jobs.size(), expected.size()) << "chunk " << ci;
+    std::uint64_t offset = 0;
+    for (std::size_t j = 0; j < expected.size(); ++j) {
+      const AlsJob& got = work.jobs[j];
+      const AlsJob& want = *expected[j];
+      EXPECT_EQ(got.component, want.component);
+      EXPECT_EQ(got.first_level, want.first_level);
+      EXPECT_EQ(got.local_to_global, want.local_to_global);
+      EXPECT_EQ(got.a, want.a);
+      EXPECT_EQ(got.s, want.s);
+      EXPECT_EQ(got.x_max, want.x_max);
+      EXPECT_EQ(got.tests, want.tests);
+      EXPECT_EQ(got.test_offset, offset);
+      offset += got.tests;
+      ++compared;
+    }
+    EXPECT_EQ(work.tests, offset);
+  }
+  EXPECT_EQ(compared, plan.jobs.size());
 }
 
 /// (simulated, triangles) of one chunk launch by the kernel's own

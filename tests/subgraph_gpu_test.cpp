@@ -140,5 +140,17 @@ TEST(GpuListing, TriangleFreeGraphListsNothing) {
   EXPECT_EQ(listing.output_bytes, 0u);
 }
 
+// With no 3-vertex window nothing launches: the listing prices no kernel,
+// exactly like the k-clique count of the same graph.
+TEST(GpuListing, NoCandidatesChargesNoKernelTime) {
+  const Graph g = graph::path(2);
+  const GpuTriangleListing listing = list_triangles_gpu(g, small_launch());
+  const GpuKCountResult counting = count_kcliques_gpu(g, 3, small_launch());
+  EXPECT_EQ(listing.total_tests, 0u);
+  EXPECT_EQ(listing.kernel.kernel_time_s, 0.0);
+  EXPECT_EQ(listing.total_time_s, counting.total_time_s);
+  EXPECT_TRUE(listing.triangles.empty());
+}
+
 }  // namespace
 }  // namespace lgg::core
